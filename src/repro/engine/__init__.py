@@ -22,7 +22,7 @@ The public surface (see ``docs/API.md``):
   (P, T, D) sweep lowered to per-family array evaluations, element-wise
   identical to the scalar predictor;
 * :mod:`repro.engine.analytic` — the vectorized cost-model replicas the
-  predictors are built from.
+  scalar replay and the grid path are built from.
 """
 
 from repro.engine.engines import (

@@ -1,16 +1,20 @@
-"""Per-application analytic predictors for the model engine.
+"""The model engine's scalar entry point, and the hBench models.
 
-Each predictor replays an application's enqueue schedule through
-:class:`repro.engine.analytic.StreamReplay` — the same transfers, the
-same dedup/residency bookkeeping, the same dependency edges as the app's
-``_execute`` — but as straight-line arithmetic instead of a
-discrete-event simulation.  Iterated apps (Kmeans, Hotspot, SRAD) replay
-their first iteration explicitly (so any first-invocation upload cost is
-charged exactly once per kernel per device) and close the remaining
-iterations in a vectorized form: after a global sync every stream's tail
-is equal, so each further iteration advances time by
-``max over streams of sum(dispatch + invoke_cost) + S * sync_per_stream``
-— identical arithmetic to the event-driven path.
+:func:`predict_run` evaluates one run spec analytically.  It does not
+hand-code any app's schedule: it replays the app's workload port
+(:func:`repro.workload.ports.workload_of`; a
+:class:`~repro.workload.app.WorkloadApp` is its own port) through
+:func:`repro.workload.compile.predict_workload`, a
+:class:`~repro.engine.analytic.StreamReplay` of the same transfers,
+dedup/residency bookkeeping and dependency edges as the app's
+``_execute``, as straight-line arithmetic instead of a discrete-event
+simulation.  Repeated phases that qualify (Kmeans, Hotspot and SRAD's
+synced kernel iterations) advance in closed form: after a global sync
+every stream's tail is equal, so each further repetition adds ``max
+over streams of sum(dispatch + invoke_cost) + S * sync_per_stream`` —
+see :mod:`repro.workload.compile` for the exact rule.  A single-device
+family's port is built once and shared with the grid path's family
+cache (:func:`repro.engine.grid.port_family`).
 
 Known deviations from the DES (why the hybrid engine calibrates):
 
@@ -25,326 +29,21 @@ caught by the hybrid engine): real-data runs (``materialize=True``),
 ``streams_per_place != 1``, ``keep_timeline`` (no trace is produced),
 Hotspot's ``halo_sync="p2p"`` dependency pattern, Cholesky's non-owner
 stream mappings, noisy or full-duplex device specs, and any app class
-without a registered predictor.
+without a workload port.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.apps.base import AppRun
-from repro.apps.cholesky_app import CholeskyApp
-from repro.apps.hotspot_app import HotspotApp
-from repro.apps.kmeans_app import KmeansApp
-from repro.apps.matmul_app import MatMulApp
-from repro.apps.nn_app import NNApp
-from repro.apps.srad_app import SradApp
 from repro.engine.analytic import StreamReplay, invoke_cost
 from repro.errors import ModelUnsupportedError
-from repro.kernels.cholesky import (
-    gemm_update_work,
-    potrf_work,
-    syrk_update_work,
-    trsm_work,
-)
-from repro.kernels.hotspot import hotspot_work
-from repro.kernels.kmeans import kmeans_assign_work
-from repro.kernels.matmul import gemm_work
-from repro.kernels.nn import nn_work
-from repro.kernels.srad import srad_statistics_work, srad_update_work
 from repro.kernels.vecadd import vecadd_work
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.apps.hbench import HBench
     from repro.parallel.runspec import RunSpec
-
-
-# -- applications (fig8/fig9/fig10/fig11 sweep points) -----------------------
-
-
-def predict_matmul(app: MatMulApp, places: int, num_devices: int) -> float:
-    """Replay :class:`~repro.apps.matmul_app.MatMulApp`'s tile schedule."""
-    rep = StreamReplay(places, app.spec, num_devices)
-    d, g = app.d, app.grid
-    block = d // g
-    itemsize = app.dtype.itemsize
-    work = gemm_work(block, block, d, itemsize, app.spec)
-    costs = invoke_cost(work, rep.geometry, app.spec)
-    row_bytes = block * d * itemsize
-    a_blocks: dict[tuple[int, int], tuple] = {}
-    b_blocks: dict[tuple[int, int], tuple] = {}
-    for t in range(g * g):
-        i, j = divmod(t, g)
-        s = t % rep.num_streams
-        dev = rep.device_of(s)
-        deps = []
-        if (dev, i) not in a_blocks:
-            a_blocks[(dev, i)] = rep.h2d(s, row_bytes)
-        deps.append(a_blocks[(dev, i)])
-        if (dev, j) not in b_blocks:
-            b_blocks[(dev, j)] = rep.h2d(s, row_bytes)
-        deps.append(b_blocks[(dev, j)])
-        rep.invoke(s, costs[s], deps=deps, name=work.name)
-        rep.d2h(s, block * block * itemsize)
-    return rep.sync_all()
-
-
-def predict_nn(app: NNApp, places: int, num_devices: int) -> float:
-    """Replay :class:`~repro.apps.nn_app.NNApp`'s record-tile schedule."""
-    rep = StreamReplay(places, app.spec, num_devices)
-    bounds = np.linspace(0, app.n_records, app.tiles + 1).astype(int)
-    costs: dict[int, np.ndarray] = {}
-    for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        count = int(hi - lo)
-        if count == 0:
-            continue
-        s = t % rep.num_streams
-        work = nn_work(count, 4, app.spec)
-        if count not in costs:
-            costs[count] = invoke_cost(work, rep.geometry, app.spec)
-        rep.h2d(s, count * 2 * 4)
-        rep.h2d(s, 0)  # output residency marker
-        rep.invoke(s, costs[count][s], name=work.name)
-        rep.d2h(s, count * 4)
-    return rep.sync_all()
-
-
-def _per_iteration_costs(
-    tiles: list[tuple[int, int]],
-    rep: StreamReplay,
-    work_of: Callable,
-) -> tuple[np.ndarray, np.ndarray, list]:
-    """Per-tile invoke costs on each tile's stream, the stream map, and
-    the work descriptors (for first-invocation names)."""
-    costs: dict[int, np.ndarray] = {}
-    works = []
-    s_of_t = np.arange(len(tiles)) % rep.num_streams
-    cost_t = np.empty(len(tiles))
-    for t, (lo, hi) in enumerate(tiles):
-        count = hi - lo
-        work = work_of(count)
-        works.append(work)
-        if count not in costs:
-            costs[count] = invoke_cost(work, rep.geometry, rep.spec)
-        cost_t[t] = costs[count][s_of_t[t]]
-    return cost_t, s_of_t, works
-
-
-def _chain_lengths(
-    cost_t: np.ndarray, s_of_t: np.ndarray, rep: StreamReplay
-) -> np.ndarray:
-    """Per-stream serial invoke-chain length of one iteration."""
-    return np.bincount(
-        s_of_t,
-        weights=cost_t + rep.spec.overheads.dispatch,
-        minlength=rep.num_streams,
-    )
-
-
-def predict_kmeans(app: KmeansApp, places: int, num_devices: int) -> float:
-    """Upload replay + first assign/reduce iteration replayed, the rest
-    closed-form (every iteration ends in a global sync)."""
-    rep = StreamReplay(places, app.spec, num_devices)
-    f = app.n_features
-    tiles = app._tile_bounds()
-    for t, (lo, hi) in enumerate(tiles):
-        rep.h2d(t % rep.num_streams, (hi - lo) * f * 4)
-    cost_t, s_of_t, works = _per_iteration_costs(
-        tiles, rep, lambda n: kmeans_assign_work(
-            n, app.n_clusters, f, 4, app.spec
-        )
-    )
-    # Iteration 1 explicitly (tails are staggered by the uploads, and any
-    # first-invocation cost lands here).
-    for t in range(len(tiles)):
-        rep.invoke(int(s_of_t[t]), cost_t[t], name=works[t].name)
-    t_now = rep.sync_all()
-    if app.iterations > 1:
-        per_iter = float(_chain_lengths(cost_t, s_of_t, rep).max())
-        per_iter += rep.num_streams * rep.spec.overheads.sync_per_stream
-        t_now += (app.iterations - 1) * per_iter
-        rep.advance_to(t_now)
-    return rep.sync_all()  # harness's final global sync
-
-
-def predict_hotspot(app: HotspotApp, places: int, num_devices: int) -> float:
-    """Upload + sync replay, first stencil step replayed, remaining steps
-    closed-form, then the band download."""
-    if app.halo_sync != "global":
-        raise ModelUnsupportedError(
-            "analytic engine models Hotspot's global halo barrier only "
-            f"(halo_sync={app.halo_sync!r})"
-        )
-    rep = StreamReplay(places, app.spec, num_devices)
-    d = app.d
-    bands = app._row_bands()
-    for t, (lo, hi) in enumerate(bands):
-        s = t % rep.num_streams
-        rep.h2d(s, (hi - lo) * d * 4)  # temp band
-        rep.h2d(s, (hi - lo) * d * 4)  # power band
-        rep.h2d(s, 0)  # scratch residency marker
-    rep.sync_all()
-    cost_t, s_of_t, works = _per_iteration_costs(
-        bands, rep, lambda n: hotspot_work(n, d, 4, app.spec)
-    )
-    for t in range(len(bands)):
-        rep.invoke(int(s_of_t[t]), cost_t[t], name=works[t].name)
-    t_now = rep.sync_all()
-    if app.iterations > 1:
-        per_iter = float(_chain_lengths(cost_t, s_of_t, rep).max())
-        per_iter += rep.num_streams * rep.spec.overheads.sync_per_stream
-        t_now += (app.iterations - 1) * per_iter
-        rep.advance_to(t_now)
-    for t, (lo, hi) in enumerate(bands):
-        rep.d2h(t % rep.num_streams, (hi - lo) * d * 4)
-    return rep.sync_all()
-
-
-def predict_srad(app: SradApp, places: int, num_devices: int) -> float:
-    """Like Hotspot, with two synced phases (statistics, update) per
-    iteration."""
-    rep = StreamReplay(places, app.spec, num_devices)
-    d = app.d
-    bands = app._row_bands()
-    for t, (lo, hi) in enumerate(bands):
-        s = t % rep.num_streams
-        rep.h2d(s, (hi - lo) * d * 4)  # image band
-        rep.h2d(s, 0)  # scratch residency marker
-    rep.sync_all()
-    stats_t, s_of_t, stats_works = _per_iteration_costs(
-        bands, rep, lambda n: srad_statistics_work(n, d, 4, app.spec)
-    )
-    update_t, _, update_works = _per_iteration_costs(
-        bands, rep, lambda n: srad_update_work(n, d, 4, app.spec)
-    )
-    sync = rep.num_streams * rep.spec.overheads.sync_per_stream
-    for t in range(len(bands)):
-        rep.invoke(int(s_of_t[t]), stats_t[t], name=stats_works[t].name)
-    rep.sync_all()
-    for t in range(len(bands)):
-        rep.invoke(int(s_of_t[t]), update_t[t], name=update_works[t].name)
-    t_now = rep.sync_all()
-    if app.iterations > 1:
-        per_iter = (
-            float(_chain_lengths(stats_t, s_of_t, rep).max())
-            + sync
-            + float(_chain_lengths(update_t, s_of_t, rep).max())
-            + sync
-        )
-        t_now += (app.iterations - 1) * per_iter
-        rep.advance_to(t_now)
-    for t, (lo, hi) in enumerate(bands):
-        rep.d2h(t % rep.num_streams, (hi - lo) * d * 4)
-    return rep.sync_all()
-
-
-def predict_cholesky(app: CholeskyApp, places: int, num_devices: int) -> float:
-    """Replay the CF task DAG in construction order.
-
-    The app inserts tasks in a topological order and the scheduler
-    enqueues them in exactly that order, so walking the three loops of
-    ``CholeskyApp._execute`` with the same resident-set bookkeeping
-    reproduces the DES's action sequence.  A task's dependencies attach
-    to its *first* action only; dependents wait on its *last* action
-    (the trailing D2H for POTRF/TRSM).
-    """
-    if app.mapping != "owner":
-        raise ModelUnsupportedError(
-            "analytic engine models the owner stream mapping only "
-            f"(mapping={app.mapping!r})"
-        )
-    rep = StreamReplay(places, app.spec, num_devices)
-    S = rep.num_streams
-    nb, b = app.nb, app.block
-    tile_bytes = b * b * 8
-    costs = {
-        kind: (invoke_cost(work, rep.geometry, app.spec), work.name)
-        for kind, work in (
-            ("potrf", potrf_work(b, 8, app.spec)),
-            ("trsm", trsm_work(b, 8, app.spec)),
-            ("syrk", syrk_update_work(b, 8, app.spec)),
-            ("gemm", gemm_update_work(b, 8, app.spec)),
-        )
-    }
-    done: dict[str, tuple] = {}
-    last_writer: dict[tuple[int, int], str] = {}
-    resident: dict[tuple[int, int], set[int]] = {}
-
-    def h2d_count(device, reads=(), writes=()):
-        n = 0
-        for coord in (*reads, *writes):
-            homes = resident.setdefault(coord, set())
-            if device not in homes:
-                homes.add(device)
-                n += 1
-        for coord in writes:
-            resident[coord] = {device}
-        return n
-
-    def emit(name, kind, stream, after, n_h2d, with_d2h):
-        deps = [done[a] for a in after]
-        cost, wname = costs[kind]
-        first = True
-        for _ in range(n_h2d):
-            rep.h2d(stream, tile_bytes, deps=deps if first else ())
-            first = False
-        last = rep.invoke(
-            stream, cost[stream], deps=deps if first else (), name=wname
-        )
-        if with_d2h:
-            last = rep.d2h(stream, tile_bytes)
-        done[name] = last
-
-    for j in range(nb):
-        hint = j % S
-        after = [last_writer[(j, j)]] if (j, j) in last_writer else []
-        n = h2d_count(rep.device_of(hint), writes=((j, j),))
-        emit(f"potrf_{j}", "potrf", hint, after, n, with_d2h=True)
-        last_writer[(j, j)] = f"potrf_{j}"
-        for i in range(j + 1, nb):
-            hint = i % S
-            after = [f"potrf_{j}"]
-            if (i, j) in last_writer:
-                after.append(last_writer[(i, j)])
-            n = h2d_count(
-                rep.device_of(hint), reads=((j, j),), writes=((i, j),)
-            )
-            emit(f"trsm_{i}_{j}", "trsm", hint, after, n, with_d2h=True)
-            last_writer[(i, j)] = f"trsm_{i}_{j}"
-        for i in range(j + 1, nb):
-            for k in range(j + 1, i + 1):
-                hint = i % S
-                after = [f"trsm_{i}_{j}"]
-                if k != i:
-                    after.append(f"trsm_{k}_{j}")
-                if (i, k) in last_writer:
-                    after.append(last_writer[(i, k)])
-                kind = "syrk" if k == i else "gemm"
-                reads = ((i, j),) if k == i else ((i, j), (k, j))
-                name = (
-                    f"syrk_{i}_{j}" if k == i else f"gemm_{i}_{k}_{j}"
-                )
-                n = h2d_count(
-                    rep.device_of(hint), reads=reads, writes=((i, k),)
-                )
-                emit(name, kind, hint, after, n, with_d2h=False)
-                last_writer[(i, k)] = name
-    return rep.sync_all()
-
-
-#: App class -> (app, places, num_devices) -> predicted elapsed seconds.
-PREDICTORS: dict[type, Callable] = {
-    MatMulApp: predict_matmul,
-    NNApp: predict_nn,
-    KmeansApp: predict_kmeans,
-    HotspotApp: predict_hotspot,
-    SradApp: predict_srad,
-    CholeskyApp: predict_cholesky,
-    # WorkloadApp registers itself here on ``import repro.workload``
-    # (the import runs in that direction to avoid a module cycle).
-}
 
 
 def predict_run(spec: "RunSpec") -> AppRun:
@@ -355,6 +54,9 @@ def predict_run(spec: "RunSpec") -> AppRun:
     :class:`~repro.errors.ModelUnsupportedError` for configurations the
     analytic path cannot reproduce.
     """
+    from repro.engine.grid import port_family
+    from repro.workload.compile import predict_workload
+
     if spec.streams_per_place != 1:
         raise ModelUnsupportedError(
             "analytic engine requires one stream per place "
@@ -364,26 +66,11 @@ def predict_run(spec: "RunSpec") -> AppRun:
         raise ModelUnsupportedError(
             "analytic engine produces no event trace (keep_timeline=True)"
         )
-    app = spec.build_app()
-    predictor = PREDICTORS.get(type(app))
-    if predictor is None:
-        raise ModelUnsupportedError(
-            f"no analytic predictor for app class {type(app).__name__}"
-        )
-    if app.materialize:
-        raise ModelUnsupportedError(
-            "real-data runs (materialize=True) need the simulator"
-        )
-    elapsed = predictor(app, spec.places, spec.num_devices)
-    flops = app.total_flops()
-    return AppRun(
-        app=app.name,
-        elapsed=elapsed,
-        places=spec.places,
-        tiles=app.tiles,
-        gflops=(flops / elapsed / 1e9) if flops > 0 else None,
-        engine="model",
+    fam = port_family(spec)
+    elapsed = predict_workload(
+        fam.workload, spec.places, spec.num_devices, fam.spec
     )
+    return fam.wrap(spec.places, elapsed)
 
 
 # -- hBench (fig5/fig6/fig7) -------------------------------------------------

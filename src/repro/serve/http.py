@@ -373,6 +373,8 @@ class _Request:
     payload: object
     version: str
     headers: "dict[str, str]"
+    #: Set when the body is not valid JSON (answered 400).
+    error: "str | None" = None
 
     def wants_keep_alive(self) -> bool:
         token = self.headers.get("connection", "").lower()
@@ -389,9 +391,9 @@ async def _read_request(
     Raises :class:`_FramingError` when the stream cannot be reframed
     (malformed request line or headers, bad/oversized Content-Length)
     and :class:`ConnectionError` on a clean EOF before the request
-    line.  A bad JSON *body* raises :class:`BadRequest` instead — the
-    body length was known and fully consumed, so the caller can answer
-    400 and keep the connection.
+    line.  A bad JSON *body* is not a framing error: the body length was
+    known and fully consumed, so the request comes back with ``error``
+    set and the caller answers 400 under the usual keep/close rule.
     """
     try:
         request_line = await reader.readline()
@@ -435,15 +437,15 @@ async def _read_request(
         raise _FramingError(400, "invalid Content-Length") from exc
     if length > max_body:
         raise _FramingError(413, f"request body over {max_body} bytes")
-    payload = None
+    payload = error = None
     if length:
         body = await reader.readexactly(length)
         try:
             payload = json.loads(body)
         except json.JSONDecodeError as exc:
-            raise BadRequest(f"invalid JSON body: {exc}") from exc
+            error = f"invalid JSON body: {exc}"
     path = target.split("?", 1)[0]
-    return _Request(method.upper(), path, payload, version, headers)
+    return _Request(method.upper(), path, payload, version, headers, error)
 
 
 async def _write_stream(writer, body: StreamBody, close: bool) -> None:
@@ -484,14 +486,6 @@ async def _handle_connection(
             except asyncio.TimeoutError:
                 registry.counter("serve.http.idle_closes").inc()
                 return
-            except BadRequest as exc:
-                # Bad JSON body: framing held (the body was consumed),
-                # so answer 400 and keep the connection serviceable.
-                writer.write(
-                    _encode_response(400, {"error": str(exc)}, close=False)
-                )
-                await writer.drain()
-                continue
             except _FramingError as exc:
                 if exc.status is not None:
                     writer.write(
@@ -510,9 +504,14 @@ async def _handle_connection(
                 and served < config.max_requests
                 and request.wants_keep_alive()
             )
-            status, body = await handle_request(
-                service, request.method, request.path, request.payload
-            )
+            if request.error is not None:
+                # Bad JSON body: framing held (the body was consumed),
+                # so this is a plain 400 under the same keep/close rule.
+                status, body = 400, {"error": request.error}
+            else:
+                status, body = await handle_request(
+                    service, request.method, request.path, request.payload
+                )
             if isinstance(body, StreamBody):
                 await _write_stream(writer, body, close=not keep)
                 if body.failed:

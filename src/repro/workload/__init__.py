@@ -6,13 +6,13 @@ data.  One spec drives all three engines: :class:`WorkloadApp` runs it
 on the DES, :func:`~repro.workload.compile.predict_workload` replays it
 through the scalar analytic model, and
 :func:`~repro.workload.compile.lower_workload` records it once into the
-grid path's family builder.  :func:`workload_of` re-derives the six
-built-in apps as specs; :class:`ScenarioGenerator` draws reproducible
+grid path's family builder.  :func:`workload_of` ports the six paper
+apps to specs, and those ports are the only model schedules the
+engines replay for them; :class:`ScenarioGenerator` draws reproducible
 random scenarios for fuzzing and corpus generation.
 """
 
 from repro.workload.app import WorkloadApp
-from repro.workload.compile import lower_workload, predict_workload
 from repro.workload.generator import DISTRIBUTIONS, ScenarioGenerator
 from repro.workload.ports import workload_of
 from repro.workload.spec import (
@@ -23,18 +23,6 @@ from repro.workload.spec import (
     PhaseSpec,
     WorkloadSpec,
 )
-
-# Register the workload lowerings with the engine registries.  The
-# import runs in this direction (workload -> engine) because
-# workload.compile already depends on engine.analytic; anything that
-# touches a WorkloadApp necessarily imports this package first, so the
-# registrations are in place before any engine sees a workload run.
-from repro.engine import grid as _grid
-from repro.engine import profiles as _profiles
-
-_profiles.PREDICTORS[WorkloadApp] = predict_workload
-_grid._LOWERERS[WorkloadApp] = lower_workload
-del _grid, _profiles
 
 __all__ = [
     "DISTRIBUTIONS",

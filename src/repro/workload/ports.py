@@ -1,19 +1,23 @@
-"""The six built-in apps expressed as workload specs.
+"""The six paper apps expressed as workload specs.
 
-:func:`workload_of` re-derives an app instance's enqueue schedule as a
+:func:`workload_of` derives an app instance's enqueue schedule as a
 :class:`~repro.workload.spec.WorkloadSpec` — the same transfers, the
 same dedup/residency bookkeeping, the same dependency edges, in the
-same emission order.  On a single device the port is *DES-exact*: a
-``WorkloadApp(workload_of(app))`` run produces bit-identical elapsed
-times to the original app (held by ``tests/workload/test_ports.py``).
+same emission order.  A port is its app's only hand-written model
+schedule: :func:`repro.engine.profiles.predict_run` replays it through
+:func:`~repro.workload.compile.predict_workload`, and the grid path
+lowers it once per family with
+:func:`~repro.workload.compile.lower_workload`.
 
-Multi-device caveat: MatMul and Cholesky deduplicate uploads per
-*device*; a spec fixes the dedup pattern at build time, so their ports
-encode the single-device pattern (exactly the constraint the grid path
-already lives with).  The iterated apps replay every iteration
-explicitly (a spec is data, not arithmetic), so analytic predictions of
-a port match the closed-form originals to float-rounding (~1e-9), while
-DES runs match exactly.
+A port is *DES-exact*: ``WorkloadApp(workload_of(app, places=P,
+num_devices=N))`` run at ``places=P, num_devices=N`` produces
+bit-identical elapsed times to the original app (held by
+``tests/workload/test_ports.py``).  MatMul and Cholesky deduplicate
+uploads per *device*, so their multi-device ports take the device of
+each tile's stream from the run's device-major layout (that of
+:func:`~repro.engine.analytic.stream_geometry`), and their upload op
+names carry the device.  On one device, and for the other four apps,
+``places`` and ``num_devices`` change nothing.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from repro.apps.kmeans_app import KmeansApp
 from repro.apps.matmul_app import MatMulApp
 from repro.apps.nn_app import NNApp
 from repro.apps.srad_app import SradApp
+from repro.engine.analytic import stream_geometry
 from repro.errors import ConfigurationError
 from repro.kernels.cholesky import (
     gemm_update_work,
@@ -38,6 +43,7 @@ from repro.kernels.kmeans import kmeans_assign_work
 from repro.kernels.matmul import gemm_work
 from repro.kernels.nn import nn_work
 from repro.kernels.srad import srad_statistics_work, srad_update_work
+from repro.workload.app import WorkloadApp
 from repro.workload.spec import KernelSpec, OpSpec, PhaseSpec, WorkloadSpec
 
 
@@ -58,8 +64,25 @@ class _Kernels:
             self.specs.append(spec)
         return idx
 
+    def per_tile(self, sizes, work_of) -> list[int]:
+        """Kernel index of each tile, building one work descriptor per
+        distinct tile size."""
+        by_size: dict[int, int] = {}
+        out = []
+        for n in sizes:
+            k = by_size.get(n)
+            if k is None:
+                k = by_size[n] = self.add(work_of(n))
+            out.append(k)
+        return out
 
-def _port_matmul(app: MatMulApp) -> WorkloadSpec:
+
+def _device(devices, tile: int):
+    """The device hosting ``tile``'s stream (``None`` on one device)."""
+    return None if devices is None else devices[tile % len(devices)]
+
+
+def _port_matmul(app: MatMulApp, devices) -> WorkloadSpec:
     d, g = app.d, app.grid
     block = d // g
     itemsize = app.dtype.itemsize
@@ -67,17 +90,19 @@ def _port_matmul(app: MatMulApp) -> WorkloadSpec:
     gemm = kernels.add(gemm_work(block, block, d, itemsize, app.spec))
     row_bytes = block * d * itemsize
     ops: list[OpSpec] = []
-    a_seen: set[int] = set()
-    b_seen: set[int] = set()
+    # Each A row block and B column block is uploaded once per device;
+    # the upload's name is its dedup key.
+    uploaded: set[str] = set()
     for t in range(g * g):
         i, j = divmod(t, g)
-        if i not in a_seen:
-            a_seen.add(i)
-            ops.append(OpSpec("h2d", t, row_bytes, name=f"a{i}"))
-        if j not in b_seen:
-            b_seen.add(j)
-            ops.append(OpSpec("h2d", t, row_bytes, name=f"b{j}"))
-        ops.append(OpSpec("exe", t, kernel=gemm, deps=(f"a{i}", f"b{j}")))
+        dev = _device(devices, t)
+        at = "" if dev is None else f"@{dev}"
+        a, b = f"a{i}{at}", f"b{j}{at}"
+        for name in (a, b):
+            if name not in uploaded:
+                uploaded.add(name)
+                ops.append(OpSpec("h2d", t, row_bytes, name=name))
+        ops.append(OpSpec("exe", t, kernel=gemm, deps=(a, b)))
         ops.append(OpSpec("d2h", t, block * block * itemsize))
     return WorkloadSpec(
         name=f"mm-d{d}-t{g * g}",
@@ -86,15 +111,19 @@ def _port_matmul(app: MatMulApp) -> WorkloadSpec:
     )
 
 
-def _port_nn(app: NNApp) -> WorkloadSpec:
+def _port_nn(app: NNApp, devices) -> WorkloadSpec:
     bounds = np.linspace(0, app.n_records, app.tiles + 1).astype(int)
+    tiles = [
+        (t, int(hi - lo))
+        for t, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+        if hi > lo
+    ]
     kernels = _Kernels()
+    kls = kernels.per_tile(
+        [count for _, count in tiles], lambda n: nn_work(n, 4, app.spec)
+    )
     ops: list[OpSpec] = []
-    for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        count = int(hi - lo)
-        if count == 0:
-            continue
-        kl = kernels.add(nn_work(count, 4, app.spec))
+    for (t, count), kl in zip(tiles, kls):
         ops.append(OpSpec("h2d", t, count * 2 * 4))
         ops.append(OpSpec("h2d", t, 0))  # output residency marker
         ops.append(OpSpec("exe", t, kernel=kl))
@@ -106,23 +135,20 @@ def _port_nn(app: NNApp) -> WorkloadSpec:
     )
 
 
-def _port_kmeans(app: KmeansApp) -> WorkloadSpec:
+def _port_kmeans(app: KmeansApp, devices) -> WorkloadSpec:
     f = app.n_features
     tiles = app._tile_bounds()
     kernels = _Kernels()
+    kls = kernels.per_tile(
+        [hi - lo for lo, hi in tiles],
+        lambda n: kmeans_assign_work(n, app.n_clusters, f, 4, app.spec),
+    )
     uploads = tuple(
         OpSpec("h2d", t, (hi - lo) * f * 4)
         for t, (lo, hi) in enumerate(tiles)
     )
     assigns = tuple(
-        OpSpec(
-            "exe",
-            t,
-            kernel=kernels.add(
-                kmeans_assign_work(hi - lo, app.n_clusters, f, 4, app.spec)
-            ),
-        )
-        for t, (lo, hi) in enumerate(tiles)
+        OpSpec("exe", t, kernel=kl) for t, kl in enumerate(kls)
     )
     return WorkloadSpec(
         name=f"kmeans-n{app.n_points}-t{len(tiles)}",
@@ -134,7 +160,7 @@ def _port_kmeans(app: KmeansApp) -> WorkloadSpec:
     )
 
 
-def _port_hotspot(app: HotspotApp) -> WorkloadSpec:
+def _port_hotspot(app: HotspotApp, devices) -> WorkloadSpec:
     if app.halo_sync != "global":
         raise ConfigurationError(
             "only Hotspot's global halo barrier is portable to a "
@@ -143,19 +169,16 @@ def _port_hotspot(app: HotspotApp) -> WorkloadSpec:
     d = app.d
     bands = app._row_bands()
     kernels = _Kernels()
+    kls = kernels.per_tile(
+        [hi - lo for lo, hi in bands],
+        lambda n: hotspot_work(n, d, 4, app.spec),
+    )
     uploads: list[OpSpec] = []
     for t, (lo, hi) in enumerate(bands):
         uploads.append(OpSpec("h2d", t, (hi - lo) * d * 4))  # temp
         uploads.append(OpSpec("h2d", t, (hi - lo) * d * 4))  # power
         uploads.append(OpSpec("h2d", t, 0))  # scratch marker
-    steps = tuple(
-        OpSpec(
-            "exe",
-            t,
-            kernel=kernels.add(hotspot_work(hi - lo, d, 4, app.spec)),
-        )
-        for t, (lo, hi) in enumerate(bands)
-    )
+    steps = tuple(OpSpec("exe", t, kernel=kl) for t, kl in enumerate(kls))
     downloads = tuple(
         OpSpec("d2h", t, (hi - lo) * d * 4)
         for t, (lo, hi) in enumerate(bands)
@@ -171,51 +194,47 @@ def _port_hotspot(app: HotspotApp) -> WorkloadSpec:
     )
 
 
-def _port_srad(app: SradApp) -> WorkloadSpec:
+def _port_srad(app: SradApp, devices) -> WorkloadSpec:
     d = app.d
     bands = app._row_bands()
+    sizes = [hi - lo for lo, hi in bands]
     kernels = _Kernels()
+    stats_kls = kernels.per_tile(
+        sizes, lambda n: srad_statistics_work(n, d, 4, app.spec)
+    )
+    update_kls = kernels.per_tile(
+        sizes, lambda n: srad_update_work(n, d, 4, app.spec)
+    )
     uploads: list[OpSpec] = []
     for t, (lo, hi) in enumerate(bands):
         uploads.append(OpSpec("h2d", t, (hi - lo) * d * 4))  # image
         uploads.append(OpSpec("h2d", t, 0))  # scratch marker
-    stats = tuple(
-        OpSpec(
-            "exe",
-            t,
-            kernel=kernels.add(
-                srad_statistics_work(hi - lo, d, 4, app.spec)
-            ),
-        )
-        for t, (lo, hi) in enumerate(bands)
-    )
-    updates = tuple(
-        OpSpec(
-            "exe",
-            t,
-            kernel=kernels.add(srad_update_work(hi - lo, d, 4, app.spec)),
-        )
-        for t, (lo, hi) in enumerate(bands)
-    )
     downloads = tuple(
         OpSpec("d2h", t, (hi - lo) * d * 4)
         for t, (lo, hi) in enumerate(bands)
     )
     # The statistics/update pair repeats as a unit; PhaseSpec.repeat
-    # covers a single phase, so the iterations unroll explicitly here.
-    phases: list[PhaseSpec] = [PhaseSpec(ops=tuple(uploads), sync=True)]
-    for _ in range(app.iterations):
-        phases.append(PhaseSpec(ops=stats, sync=True))
-        phases.append(PhaseSpec(ops=updates, sync=True))
-    phases.append(PhaseSpec(ops=downloads, sync=False))
+    # covers a single phase, so the iterations unroll explicitly here,
+    # every iteration sharing the same two phase objects.
+    stats, update = (
+        PhaseSpec(
+            ops=tuple(OpSpec("exe", t, kernel=kl) for t, kl in enumerate(kls)),
+            sync=True,
+        )
+        for kls in (stats_kls, update_kls)
+    )
     return WorkloadSpec(
         name=f"srad-d{d}-t{len(bands)}",
         kernels=tuple(kernels.specs),
-        phases=tuple(phases),
+        phases=(
+            PhaseSpec(ops=tuple(uploads), sync=True),
+            *(stats, update) * app.iterations,
+            PhaseSpec(ops=downloads, sync=False),
+        ),
     )
 
 
-def _port_cholesky(app: CholeskyApp) -> WorkloadSpec:
+def _port_cholesky(app: CholeskyApp, devices) -> WorkloadSpec:
     if app.mapping != "owner":
         raise ConfigurationError(
             "only the owner stream mapping is portable to a workload "
@@ -235,16 +254,20 @@ def _port_cholesky(app: CholeskyApp) -> WorkloadSpec:
     }
     ops: list[OpSpec] = []
     last_writer: dict[tuple[int, int], str] = {}
-    resident: set[tuple[int, int]] = set()
+    resident: dict[tuple[int, int], set] = {}
 
-    # Single device: the resident-set evolution (hence the transfer
-    # topology) is P-independent, exactly as in the grid lowering.
-    def h2d_count(reads=(), writes=()):
+    def h2d_count(tile, reads=(), writes=()):
+        """Uploads a task on ``tile``'s device needs; a write leaves the
+        device's copy the only valid one."""
+        dev = _device(devices, tile)
         n = 0
         for coord in (*reads, *writes):
-            if coord not in resident:
-                resident.add(coord)
+            homes = resident.setdefault(coord, set())
+            if dev not in homes:
+                homes.add(dev)
                 n += 1
+        for coord in writes:
+            resident[coord] = {dev}
         return n
 
     def emit(name, kind, tile, after, n_h2d, with_d2h):
@@ -270,14 +293,14 @@ def _port_cholesky(app: CholeskyApp) -> WorkloadSpec:
 
     for j in range(nb):
         after = [last_writer[(j, j)]] if (j, j) in last_writer else []
-        n = h2d_count(writes=((j, j),))
+        n = h2d_count(j, writes=((j, j),))
         emit(f"potrf_{j}", "potrf", j, after, n, with_d2h=True)
         last_writer[(j, j)] = f"potrf_{j}"
         for i in range(j + 1, nb):
             after = [f"potrf_{j}"]
             if (i, j) in last_writer:
                 after.append(last_writer[(i, j)])
-            n = h2d_count(reads=((j, j),), writes=((i, j),))
+            n = h2d_count(i, reads=((j, j),), writes=((i, j),))
             emit(f"trsm_{i}_{j}", "trsm", i, after, n, with_d2h=True)
             last_writer[(i, j)] = f"trsm_{i}_{j}"
         for i in range(j + 1, nb):
@@ -292,7 +315,7 @@ def _port_cholesky(app: CholeskyApp) -> WorkloadSpec:
                 name = (
                     f"syrk_{i}_{j}" if k == i else f"gemm_{i}_{k}_{j}"
                 )
-                n = h2d_count(reads=reads, writes=((i, k),))
+                n = h2d_count(i, reads=reads, writes=((i, k),))
                 emit(name, kind, i, after, n, with_d2h=False)
                 last_writer[(i, k)] = name
     return WorkloadSpec(
@@ -309,15 +332,27 @@ _PORTS = {
     HotspotApp: _port_hotspot,
     SradApp: _port_srad,
     CholeskyApp: _port_cholesky,
+    WorkloadApp: lambda app, devices: app.workload,
 }
 
 
-def workload_of(app) -> WorkloadSpec:
-    """The workload spec equivalent to ``app``'s enqueue schedule
-    (single-device exact; see the module docstring)."""
+def workload_of(app, places: int = 1, num_devices: int = 1) -> WorkloadSpec:
+    """The workload spec equivalent to ``app``'s enqueue schedule when
+    run at ``places`` partitions over ``num_devices`` cards (the layout
+    only matters to MatMul and Cholesky on several devices; see the
+    module docstring).  A :class:`WorkloadApp` is its own port."""
     port = _PORTS.get(type(app))
     if port is None:
         raise ConfigurationError(
             f"no workload port for app class {type(app).__name__}"
         )
-    return port(app)
+    devices = None
+    if num_devices != 1:
+        if not 1 <= num_devices <= places:
+            raise ConfigurationError(
+                f"cannot lay {places} place(s) over {num_devices} "
+                f"device(s): need at least one place per device"
+            )
+        geometry = stream_geometry(places, num_devices, app.spec)
+        devices = geometry.device.tolist()
+    return port(app, devices)

@@ -12,8 +12,10 @@ sync-delimited phases with repeat counts — so one description can be
 * lowered to the vectorized grid path
   (:func:`repro.workload.compile.lower_workload`),
 
-with all three walking the *identical* expanded phase/op order (the
-differential property suite in ``tests/workload`` holds them together).
+with all three walking the same phase/op order (the model paths advance
+qualifying repetitions in closed form, see :mod:`repro.workload.compile`;
+the differential property suite in ``tests/workload`` holds them
+together).
 
 Specs are frozen, hashable and picklable, so a spec rides a
 :class:`~repro.parallel.runspec.RunSpec` through worker pools, result
@@ -269,6 +271,7 @@ class WorkloadSpec:
                     f"kernels[{k}] must be a KernelSpec, got {kernel!r}"
                 )
             kernel.work()  # KernelWork validates rates/efficiency/width
+        checked: set[int] = set()
         for p, phase in enumerate(self.phases):
             if not isinstance(phase, PhaseSpec):
                 raise ConfigurationError(
@@ -279,62 +282,58 @@ class WorkloadSpec:
                     f"phases[{p}].repeat must be a positive integer, "
                     f"got {phase.repeat!r}"
                 )
-            self._validate_phase(p, phase)
+            # A phase object listed several times (an unrolled loop)
+            # is checked once.
+            if id(phase) not in checked:
+                checked.add(id(phase))
+                self._validate_phase(p, phase)
 
     def _validate_phase(self, p: int, phase: PhaseSpec) -> None:
         seen: set = set()
         for o, op in enumerate(phase.ops):
-            where = f"phases[{p}].ops[{o}]"
-            if op.kind not in OP_KINDS:
-                raise ConfigurationError(
-                    f"{where}: kind must be one of {OP_KINDS}, "
-                    f"got {op.kind!r}"
+            problem = self._op_problem(op, seen)
+            if problem is not None:
+                raise ConfigurationError(f"phases[{p}].ops[{o}]: {problem}")
+
+    def _op_problem(self, op: OpSpec, seen: set) -> "str | None":
+        """What is wrong with one op (``None`` if nothing); records its
+        name in ``seen``, the phase's earlier op names."""
+        if op.kind not in OP_KINDS:
+            return f"kind must be one of {OP_KINDS}, got {op.kind!r}"
+        if not isinstance(op.tile, int) or op.tile < 0:
+            return f"tile must be a non-negative integer, got {op.tile!r}"
+        if not isinstance(op.nbytes, int) or op.nbytes < 0:
+            return (
+                f"nbytes must be a non-negative integer, got {op.nbytes!r}"
+            )
+        if op.kind == "exe":
+            if op.nbytes != 0:
+                return "exe ops carry no transfer bytes"
+            if (
+                isinstance(op.kernel, bool)
+                or not isinstance(op.kernel, int)
+                or not 0 <= op.kernel < len(self.kernels)
+            ):
+                return (
+                    f"kernel must index one of {len(self.kernels)} "
+                    f"kernel(s), got {op.kernel!r}"
                 )
-            if not isinstance(op.tile, int) or op.tile < 0:
-                raise ConfigurationError(
-                    f"{where}: tile must be a non-negative integer, "
-                    f"got {op.tile!r}"
+        elif op.kernel is not None:
+            return "transfer ops take no kernel"
+        for dep in op.deps:
+            if dep not in seen:
+                return (
+                    f"dep {dep!r} does not name an earlier op of the same "
+                    f"phase (cross-phase ordering is what sync phases are "
+                    f"for)"
                 )
-            if not isinstance(op.nbytes, int) or op.nbytes < 0:
-                raise ConfigurationError(
-                    f"{where}: nbytes must be a non-negative integer, "
-                    f"got {op.nbytes!r}"
-                )
-            if op.kind == "exe":
-                if op.nbytes != 0:
-                    raise ConfigurationError(
-                        f"{where}: exe ops carry no transfer bytes"
-                    )
-                if (
-                    isinstance(op.kernel, bool)
-                    or not isinstance(op.kernel, int)
-                    or not 0 <= op.kernel < len(self.kernels)
-                ):
-                    raise ConfigurationError(
-                        f"{where}: kernel must index one of "
-                        f"{len(self.kernels)} kernel(s), got {op.kernel!r}"
-                    )
-            elif op.kernel is not None:
-                raise ConfigurationError(
-                    f"{where}: transfer ops take no kernel"
-                )
-            for dep in op.deps:
-                if dep not in seen:
-                    raise ConfigurationError(
-                        f"{where}: dep {dep!r} does not name an earlier "
-                        f"op of the same phase (cross-phase ordering is "
-                        f"what sync phases are for)"
-                    )
-            if op.name is not None:
-                if not isinstance(op.name, str) or not op.name:
-                    raise ConfigurationError(
-                        f"{where}: name must be a non-empty string"
-                    )
-                if op.name in seen:
-                    raise ConfigurationError(
-                        f"{where}: duplicate op name {op.name!r} in phase"
-                    )
-                seen.add(op.name)
+        if op.name is not None:
+            if not isinstance(op.name, str) or not op.name:
+                return "name must be a non-empty string"
+            if op.name in seen:
+                return f"duplicate op name {op.name!r} in phase"
+            seen.add(op.name)
+        return None
 
     # -- derived shape ------------------------------------------------------
 
@@ -362,7 +361,7 @@ class WorkloadSpec:
 
     def expanded_phases(self) -> "list[PhaseSpec]":
         """Phases with ``repeat`` unrolled (each entry has repeat=1) —
-        the exact order every consumer walks."""
+        the order the DES walks."""
         out: list[PhaseSpec] = []
         for phase in self.phases:
             once = (

@@ -395,6 +395,60 @@ class TestKeepAlive:
 
         asyncio.run(scenario())
 
+    def test_bad_json_with_connection_close_gets_prompt_eof(self):
+        async def scenario():
+            async with socket_server() as (service, port):
+                reader, writer = await open_client(port)
+                writer.write(
+                    request_bytes(
+                        None, connection="close", raw_body=b"notjson"
+                    )
+                )
+                await writer.drain()
+                status, _, reusable = await _read_http_response(reader)
+                assert status == 400 and not reusable
+                # Well inside the 30 s idle timeout: the 400 closed it.
+                assert await asyncio.wait_for(reader.read(), 5) == b""
+                writer.close()
+
+        asyncio.run(scenario())
+
+    def test_keep_alive_bad_json_then_served_request(self):
+        async def scenario():
+            async with socket_server() as (service, port):
+                reader, writer = await open_client(port)
+                writer.write(request_bytes(None, raw_body=b"{broken"))
+                await writer.drain()
+                status, _, reusable = await _read_http_response(reader)
+                assert status == 400 and reusable
+                writer.write(request_bytes({"app": "mm", "P": 3}))
+                await writer.drain()
+                status, body, _ = await asyncio.wait_for(
+                    _read_http_response(reader), 5
+                )
+                writer.close()
+                assert status == 200
+                assert json.loads(body)["P"] == 3
+
+        asyncio.run(scenario())
+
+    def test_bad_json_counts_toward_max_requests(self):
+        async def scenario():
+            http_config = HttpConfig(max_requests=1)
+            async with socket_server(http_config=http_config) as (
+                service,
+                port,
+            ):
+                reader, writer = await open_client(port)
+                writer.write(request_bytes(None, raw_body=b"notjson"))
+                await writer.drain()
+                status, _, reusable = await _read_http_response(reader)
+                assert status == 400 and not reusable
+                assert await asyncio.wait_for(reader.read(), 5) == b""
+                writer.close()
+
+        asyncio.run(scenario())
+
     def test_idle_timeout_closes_connection(self):
         async def scenario():
             http_config = HttpConfig(idle_timeout=0.15)

@@ -3,7 +3,8 @@
 One home for every strategy that more than one suite draws from: the
 run-spec space of the six paper apps (grid-vs-scalar differential
 tests), the overlap-model stage-time regime, and the declarative
-workload-spec space of :mod:`repro.workload`.  Import from here rather
+workload-spec space of :mod:`repro.workload` (including the iterated
+kernel phases the model advances in closed form).  Import from here rather
 than re-declaring — the differential suites are only as strong as the
 space they share.
 """
@@ -164,17 +165,68 @@ def phase_specs(draw, n_kernels: int) -> PhaseSpec:
 
 
 @st.composite
+def iterated_kernel_phases(draw, n_kernels: int, repeats=(2, 5)) -> PhaseSpec:
+    """A synced ``exe``-only phase whose deps stay on their own tile,
+    repeated: the shape the model advances in closed form."""
+    n_ops = draw(st.integers(min_value=1, max_value=8))
+    ops = []
+    names_on: dict[int, list[str]] = {}
+    for i in range(n_ops):
+        tile = draw(st.integers(min_value=0, max_value=15))
+        same_tile = names_on.get(tile, [])
+        deps: tuple = ()
+        if same_tile and draw(st.booleans()):
+            deps = (draw(st.sampled_from(same_tile)),)
+        name = None
+        if draw(st.booleans()):
+            name = f"it{i}"
+            names_on.setdefault(tile, []).append(name)
+        ops.append(
+            OpSpec(
+                "exe",
+                tile,
+                kernel=draw(st.integers(min_value=0, max_value=n_kernels - 1)),
+                name=name,
+                deps=deps,
+            )
+        )
+    return PhaseSpec(
+        ops=tuple(ops),
+        sync=True,
+        repeat=draw(st.integers(min_value=repeats[0], max_value=repeats[1])),
+    )
+
+
+@st.composite
+def iterated_segments(draw, n_kernels: int) -> list:
+    """Phases the closed-repeat rule must close: one iterated kernel
+    phase (``repeat`` 2-5), or an alternating pair of single-shot
+    kernel phases unrolled 2-5 times (SRAD's statistics/update loop)."""
+    if draw(st.booleans()):
+        return [draw(iterated_kernel_phases(n_kernels))]
+    pair = [
+        draw(iterated_kernel_phases(n_kernels, repeats=(1, 1)))
+        for _ in range(2)
+    ]
+    return pair * draw(st.integers(min_value=2, max_value=5))
+
+
+@st.composite
 def workload_specs(draw) -> WorkloadSpec:
-    """Arbitrary valid workload scenarios over the full DSL space."""
+    """Arbitrary valid workload scenarios over the full DSL space, each
+    holding one iterated segment at a random position, so every
+    example exercises the closed-repeat path."""
     n_kernels = draw(st.integers(min_value=1, max_value=3))
     kernels = tuple(
         draw(kernel_specs(index=i)) for i in range(n_kernels)
     )
-    phases = tuple(
+    phases = [
         draw(phase_specs(n_kernels))
         for _ in range(draw(st.integers(min_value=1, max_value=3)))
-    )
-    return WorkloadSpec(name="hyp", kernels=kernels, phases=phases)
+    ]
+    at = draw(st.integers(min_value=0, max_value=len(phases)))
+    phases[at:at] = draw(iterated_segments(n_kernels))
+    return WorkloadSpec(name="hyp", kernels=kernels, phases=tuple(phases))
 
 
 @st.composite
