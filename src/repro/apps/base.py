@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import abc
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.config import RunProtocol
+from repro.device.compute import KernelWork
 from repro.device.platform import HeteroPlatform
 from repro.device.spec import DeviceSpec, PHI_31SP
 from repro.errors import ConfigurationError
@@ -68,6 +70,21 @@ class AppRun:
             spec if spec is not None else PHI_31SP,
             num_devices=num_devices,
         )
+
+
+def works_per_tile(
+    sizes: Iterable[int], work_of: Callable[[int], KernelWork]
+) -> list[KernelWork]:
+    """``work_of(n)`` for each tile size ``n``, built once per distinct
+    size: descriptors are immutable, so tiles of one size share one."""
+    by_size: dict[int, KernelWork] = {}
+    out = []
+    for n in sizes:
+        work = by_size.get(n)
+        if work is None:
+            work = by_size[n] = work_of(n)
+        out.append(work)
+    return out
 
 
 class StreamedApp(abc.ABC):

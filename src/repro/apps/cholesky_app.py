@@ -109,6 +109,11 @@ class CholeskyApp(StreamedApp):
         tiles = self._tile_buffers(ctx, a)
         nb, b = self.nb, self.block
         itemsize = 8
+        # Every tile has one shape, so each kernel has one descriptor.
+        potrf_w = potrf_work(b, itemsize, self.spec)
+        trsm_w = trsm_work(b, itemsize, self.spec)
+        syrk_w = syrk_update_work(b, itemsize, self.spec)
+        gemm_w = gemm_update_work(b, itemsize, self.spec)
         graph = TaskGraph()
         last_writer: dict[tuple[int, int], str] = {}
         #: Devices each tile is currently valid on.
@@ -167,7 +172,7 @@ class CholeskyApp(StreamedApp):
             graph.add(
                 Task(
                     name=name,
-                    work=potrf_work(b, itemsize, self.spec),
+                    work=potrf_w,
                     fn=fn,
                     h2d=h2d_needed(dev(hint), writes=((j, j),)),
                     d2h=(TransferSpec(tiles[(j, j)]),),
@@ -193,7 +198,7 @@ class CholeskyApp(StreamedApp):
                 graph.add(
                     Task(
                         name=name,
-                        work=trsm_work(b, itemsize, self.spec),
+                        work=trsm_w,
                         fn=fn,
                         h2d=h2d_needed(
                             dev(hint), reads=((j, j),), writes=((i, j),)
@@ -215,7 +220,7 @@ class CholeskyApp(StreamedApp):
                         after.append(last_writer[(i, k)])
                     fn = None
                     if k == i:
-                        work = syrk_update_work(b, itemsize, self.spec)
+                        work = syrk_w
                         if self.materialize:
                             def fn(ii=i, jj=j, di=dev(hint)):
                                 t = tiles[(ii, ii)].instance(di)
@@ -223,7 +228,7 @@ class CholeskyApp(StreamedApp):
                                 t -= l_ @ l_.T
                         name = f"syrk_{i}_{j}"
                     else:
-                        work = gemm_update_work(b, itemsize, self.spec)
+                        work = gemm_w
                         if self.materialize:
                             def fn(ii=i, kk=k, jj=j, di=dev(hint)):
                                 t = tiles[(ii, kk)].instance(di)

@@ -21,7 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.apps.base import StreamedApp
+from repro.apps.base import StreamedApp, works_per_tile
 from repro.errors import ConfigurationError
 from repro.hstreams.context import StreamContext
 from repro.kernels.hotspot import AMB_TEMP, hotspot_step, hotspot_work
@@ -100,6 +100,10 @@ class HotspotApp(StreamedApp):
             stream.h2d(scratch, count=0)  # resident ping-pong target
         ctx.sync_all()
 
+        works = works_per_tile(
+            (hi - lo for lo, hi in bands),
+            lambda rows: hotspot_work(rows, d, 4, self.spec),
+        )
         src, dst = temp, scratch
         # For p2p halo synchronisation: the previous step's action per
         # tile, so step k+1 of tile t depends on step k of t-1, t, t+1.
@@ -136,9 +140,7 @@ class HotspotApp(StreamedApp):
                     )
                 else:
                     deps = ()
-                current[t] = stream.invoke(
-                    hotspot_work(hi - lo, d, 4, self.spec), fn=fn, deps=deps
-                )
+                current[t] = stream.invoke(works[t], fn=fn, deps=deps)
             if self.halo_sync == "global":
                 # Halo exchange as a global barrier between steps.
                 ctx.sync_all()

@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.apps.base import StreamedApp
+from repro.apps.base import StreamedApp, works_per_tile
 from repro.errors import ConfigurationError
 from repro.hstreams.context import StreamContext
 from repro.kernels.kmeans import (
@@ -93,6 +93,12 @@ class KmeansApp(StreamedApp):
                 points, offset=lo * f, count=(hi - lo) * f
             )
 
+        works = works_per_tile(
+            (hi - lo for lo, hi in tile_bounds),
+            lambda rows: kmeans_assign_work(
+                rows, self.n_clusters, f, 4, self.spec
+            ),
+        )
         labels = np.empty(self.n_points, dtype=np.int64)
         for _ in range(self.iterations):
             partial_sums: list[np.ndarray] = []
@@ -110,12 +116,7 @@ class KmeansApp(StreamedApp):
                         partial_sums.append(sums)
                         partial_counts.append(counts)
 
-                stream.invoke(
-                    kmeans_assign_work(
-                        hi - lo, self.n_clusters, f, 4, self.spec
-                    ),
-                    fn=fn,
-                )
+                stream.invoke(works[t], fn=fn)
             # Host reduction barrier between iterations (Fig. 4(d) sync).
             ctx.sync_all()
             if self.materialize:

@@ -91,6 +91,7 @@ class MatMulApp(StreamedApp):
             a_buf = ctx.buffer(shape=(d, d), dtype=self.dtype, name="A")
             bt_buf = ctx.buffer(shape=(d, d), dtype=self.dtype, name="BT")
 
+        work = gemm_work(block, block, d, itemsize, self.spec)
         c_tiles: dict[tuple[int, int], Buffer] = {}
         # Each A row block and B column block crosses PCIe once per device
         # (first-touch), and later tasks depend on that transfer — the
@@ -135,11 +136,7 @@ class MatMulApp(StreamedApp):
                     ]
                     c_buf.instance(di)[:] = a_rows @ bt_rows.T
 
-            stream.invoke(
-                gemm_work(block, block, d, itemsize, self.spec),
-                fn=fn,
-                deps=tuple(deps),
-            )
+            stream.invoke(work, fn=fn, deps=tuple(deps))
             stream.d2h(c_buf)
 
         outputs: dict[str, Any] = {}

@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.apps.base import StreamedApp
+from repro.apps.base import StreamedApp, works_per_tile
 from repro.errors import ConfigurationError
 from repro.hstreams.context import StreamContext
 from repro.kernels.nn import merge_topk, nn_distances, nn_topk, nn_work
@@ -75,11 +75,17 @@ class NNApp(StreamedApp):
             )
 
         bounds = np.linspace(0, self.n_records, self._n_tiles + 1).astype(int)
+        tiles = [
+            (t, int(lo), int(hi))
+            for t, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+            if hi > lo
+        ]
+        works = works_per_tile(
+            (hi - lo for _, lo, hi in tiles),
+            lambda n: nn_work(n, 4, self.spec),
+        )
         partials: list[list[tuple[float, int]]] = []
-        for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            lo, hi = int(lo), int(hi)
-            if hi == lo:
-                continue
+        for (t, lo, hi), work in zip(tiles, works):
             stream = ctx.stream(t % ctx.num_streams)
             stream.h2d(records, offset=lo * 2, count=(hi - lo) * 2)
             stream.h2d(dists, offset=lo, count=0)  # make output resident
@@ -91,7 +97,7 @@ class NNApp(StreamedApp):
                     dists.instance(di)[lo:hi] = d
                     partials.append(nn_topk(d, self.k, offset=lo))
 
-            stream.invoke(nn_work(hi - lo, 4, self.spec), fn=fn)
+            stream.invoke(work, fn=fn)
             stream.d2h(dists, offset=lo, count=hi - lo)
 
         outputs: dict[str, Any] = {}

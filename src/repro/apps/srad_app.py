@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.apps.base import StreamedApp
+from repro.apps.base import StreamedApp, works_per_tile
 from repro.errors import ConfigurationError
 from repro.hstreams.context import StreamContext
 from repro.kernels.srad import (
@@ -98,6 +98,13 @@ class SradApp(StreamedApp):
             stream.h2d(scratch, count=0)
         ctx.sync_all()
 
+        heights = [hi - lo for lo, hi in bands]
+        stats_works = works_per_tile(
+            heights, lambda rows: srad_statistics_work(rows, d, 4, self.spec)
+        )
+        update_works = works_per_tile(
+            heights, lambda rows: srad_update_work(rows, d, 4, self.spec)
+        )
         src, dst = image, scratch
         q0sqr = 1.0
         for _ in range(self.iterations):
@@ -113,9 +120,7 @@ class SradApp(StreamedApp):
                             srad_statistics(src.instance(di)[lo:hi])
                         )
 
-                stream.invoke(
-                    srad_statistics_work(hi - lo, d, 4, self.spec), fn=fn
-                )
+                stream.invoke(stats_works[t], fn=fn)
             ctx.sync_all()
             if self.materialize:
                 total = sum(s for s, _ in stats)
@@ -142,9 +147,7 @@ class SradApp(StreamedApp):
                             lo - ext_lo : hi - ext_lo
                         ]
 
-                stream.invoke(
-                    srad_update_work(hi - lo, d, 4, self.spec), fn=fn
-                )
+                stream.invoke(update_works[t], fn=fn)
             ctx.sync_all()
             src, dst = dst, src
 

@@ -29,10 +29,10 @@ from repro.metrics.instrument import (
     observe_enqueue,
     observe_fault,
 )
+from repro.sim import Event
 from repro.trace.events import TraceEvent
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim import Event
     from repro.hstreams.stream import Stream
 
 #: Things accepted as dependencies: other actions or raw events.
@@ -62,15 +62,20 @@ class Action:
         self.buffer = buffer
         self.offset = offset
         self.count = count
-        if buffer is not None:
-            # Fail fast: a bad element range is a programming error and
-            # should surface at enqueue, not at simulated run time.
-            buffer.range_bytes(offset, count)
+        # Fail fast: a bad element range is a programming error and
+        # should surface at enqueue, not at simulated run time.  The
+        # payload size is fixed from here on.
+        self._nbytes = (
+            buffer.range_bytes(offset, count) if buffer is not None else 0
+        )
         self.work = work
         self.fn = fn
+        # The member's own attribute: ``kind.value`` is an enum property,
+        # an order of magnitude slower on this per-action path.
+        kind_name = kind._value_
         self.label = label or (
             work.name if work is not None
-            else (buffer.name if buffer is not None else kind.value)
+            else (buffer.name if buffer is not None else kind_name)
         )
         self.seq = ctx._next_seq()
         #: Fires when the action has fully completed.
@@ -78,17 +83,21 @@ class Action:
         self.started_at: float | None = None
         self.finished_at: float | None = None
 
-        self._dep_events = [self._dep_event(d) for d in deps]
-        self._cross_domain = any(
-            isinstance(d, Action)
-            and d.stream.place.device is not stream.place.device
-            for d in deps
-        )
+        if deps:
+            self._dep_events = [_dep_event(d) for d in deps]
+            device = stream.place.device
+            self._cross_domain = any(
+                isinstance(d, Action) and d.stream.place.device is not device
+                for d in deps
+            )
+        else:
+            self._dep_events = ()
+            self._cross_domain = False
         predecessor = stream._last_done
         stream._last_done = self.done
         stream._actions.append(self)
-        observe_enqueue(kind.value)
-        self._process = env.process(self._run(predecessor))
+        observe_enqueue(kind_name)
+        env.process(self._run(predecessor, kind_name))
 
     def __repr__(self) -> str:
         return (
@@ -96,24 +105,13 @@ class Action:
             f"stream={self.stream.index}>"
         )
 
-    @staticmethod
-    def _dep_event(dep: Any) -> "Event":
-        from repro.sim import Event as SimEvent
-
-        if isinstance(dep, Action):
-            return dep.done
-        if isinstance(dep, SimEvent):
-            return dep
-        raise HstreamsError(
-            f"dependency must be an Action or Event, got {dep!r}"
-        )
-
     # -- execution -----------------------------------------------------------
 
-    def _run(self, predecessor: "Event | None"):
-        ctx = self.stream.ctx
+    def _run(self, predecessor: "Event | None", kind_name: str):
+        stream = self.stream
+        ctx = stream.ctx
         env = ctx.env
-        device = self.stream.place.device
+        device = stream.place.device
         overheads = device.spec.overheads
 
         if predecessor is not None:
@@ -124,21 +122,22 @@ class Action:
             yield env.timeout(overheads.cross_device_sync)
         yield env.timeout(overheads.dispatch)
 
+        kind = self.kind
         try:
-            if self.kind is ActionKind.H2D or self.kind is ActionKind.D2H:
-                yield from self._run_transfer()
-            elif self.kind is ActionKind.EXE:
+            if kind is ActionKind.EXE:
                 yield from self._run_kernel()
+            elif kind is ActionKind.H2D or kind is ActionKind.D2H:
+                yield from self._run_transfer()
             else:  # MARKER: completes as soon as the FIFO reaches it.
                 self.started_at = self.finished_at = env.now
         except FaultInjectedError:
             # Leave a marker on the timeline before the error unwinds,
             # so traces show where the injected failure struck.
-            observe_fault(self.kind.value)
+            observe_fault(kind_name)
             ctx.trace.append(
                 TraceEvent(
                     kind=ActionKind.FAULT,
-                    stream=self.stream.index,
+                    stream=stream.index,
                     device=device.index,
                     start=(
                         self.started_at
@@ -151,59 +150,54 @@ class Action:
             )
             raise
 
-        started = self.started_at if self.started_at is not None else env.now
-        nbytes = self._transfer_bytes() if self.buffer is not None else 0
+        now = env.now
+        started = self.started_at if self.started_at is not None else now
+        nbytes = self._nbytes
         ctx.trace.append(
             TraceEvent(
-                kind=self.kind,
-                stream=self.stream.index,
+                kind=kind,
+                stream=stream.index,
                 device=device.index,
                 start=started,
-                end=env.now,
+                end=now,
                 nbytes=nbytes,
                 label=self.label,
                 threads=(
-                    self.stream.place.nthreads
-                    if self.kind is ActionKind.EXE
-                    else 0
+                    stream.place.nthreads if kind is ActionKind.EXE else 0
                 ),
             )
         )
-        observe_action(self.kind.value, env.now - started, nbytes)
-        self.finished_at = env.now
+        observe_action(kind_name, now - started, nbytes)
+        self.finished_at = now
         self.done.succeed(self)
-
-    def _transfer_bytes(self) -> int:
-        assert self.buffer is not None
-        return self.buffer.range_bytes(self.offset, self.count)
 
     def _run_transfer(self):
         env = self.stream.ctx.env
         device = self.stream.place.device
-        assert self.buffer is not None
-        nbytes = self._transfer_bytes()
+        buffer = self.buffer
+        assert buffer is not None
         if self.kind is ActionKind.H2D:
             direction = TransferDirection.H2D
-            self.buffer.instantiate(device)
+            buffer.instantiate(device)
         else:
             direction = TransferDirection.D2H
-            if not self.buffer.instantiated_on(device.index):
+            if not buffer.instantiated_on(device.index):
                 raise HstreamsError(
-                    f"D2H from buffer {self.buffer.name} which was never "
+                    f"D2H from buffer {buffer.name} which was never "
                     f"instantiated on device {device.index}"
                 )
-        if nbytes == 0:
+        if self._nbytes == 0:
             # Pure residency/instantiation marker: no link traffic.
             self.started_at = env.now
             return
         start, _end = yield env.process(
-            device.link.transfer(direction, nbytes)
+            device.link.transfer(direction, self._nbytes)
         )
         self.started_at = start
-        if self.kind is ActionKind.H2D:
-            self.buffer.copy_h2d(device.index, self.offset, self.count)
+        if direction is TransferDirection.H2D:
+            buffer.copy_h2d(device.index, self.offset, self.count)
         else:
-            self.buffer.copy_d2h(device.index, self.offset, self.count)
+            buffer.copy_d2h(device.index, self.offset, self.count)
 
     def _run_kernel(self):
         env = self.stream.ctx.env
@@ -217,3 +211,13 @@ class Action:
             yield env.timeout(duration)
             if self.fn is not None:
                 self.fn()
+
+
+def _dep_event(dep: Any) -> Event:
+    if isinstance(dep, Action):
+        return dep.done
+    if isinstance(dep, Event):
+        return dep
+    raise HstreamsError(
+        f"dependency must be an Action or Event, got {dep!r}"
+    )

@@ -14,6 +14,8 @@ memory, but no bytes move.  Applications choose per
 
 from __future__ import annotations
 
+import math
+import operator
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -72,6 +74,9 @@ class Buffer:
             self.host = None
             self.shape = tuple(shape)
             self.dtype = np.dtype(dtype)
+        #: Total element count, as an exact Python ``int`` (a NumPy
+        #: product would wrap past 2**63 elements).
+        self.size: int = math.prod(map(operator.index, self.shape))
         Buffer._counter += 1
         self.name = name if name is not None else f"buf{Buffer._counter}"
         #: Device instances keyed by device index.
@@ -86,11 +91,6 @@ class Buffer:
     @property
     def is_virtual(self) -> bool:
         return self.host is None
-
-    @property
-    def size(self) -> int:
-        """Total element count."""
-        return int(np.prod(self.shape)) if self.shape else 1
 
     @property
     def nbytes(self) -> int:

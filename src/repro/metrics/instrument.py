@@ -45,47 +45,62 @@ DEPTH_BUCKETS: tuple[float, ...] = (
 )
 
 
-def _hot_counter(name: str, kind: str):
-    """Memoized counter lookup for the per-action hot path.
+class _ActionMetrics:
+    """One action kind's hot-path metrics in one registry.
 
     Resolving metric identity (lock + label sort) costs microseconds;
-    at tens of thousands of actions per sweep that is visible next to
-    the simulated work.  The memo lives on the registry itself, so
+    at hundreds of thousands of actions per sweep that is visible next
+    to the simulated work, so each kind's metrics are resolved once per
+    registry and kept here.  Each one is created on first use, exactly
+    when an uncached lookup would create it, so the registry holds the
+    same metrics either way.  The memo lives on the registry itself, so
     scoped registries never see each other's objects and ``clear()``
     drops it with the metrics.
     """
-    registry = get_registry()
-    metric = registry._hot.get((name, kind))
-    if metric is None:
-        metric = registry.counter(name, kind=kind)
-        registry._hot[(name, kind)] = metric
-    return metric
+
+    __slots__ = ("enqueued", "actions", "seconds", "bytes_moved")
+
+    def __init__(self) -> None:
+        self.enqueued = None
+        self.actions = None
+        self.seconds = None
+        self.bytes_moved = None
 
 
-def _hot_histogram(name: str, kind: str):
-    registry = get_registry()
-    metric = registry._hot.get((name, kind))
-    if metric is None:
-        metric = registry.histogram(
-            name, buckets=DEFAULT_TIME_BUCKETS, kind=kind
-        )
-        registry._hot[(name, kind)] = metric
-    return metric
+def _action_metrics(registry, kind: str) -> _ActionMetrics:
+    metrics = registry._hot.get(kind)
+    if metrics is None:
+        metrics = registry._hot[kind] = _ActionMetrics()
+    return metrics
 
 
 def observe_enqueue(kind: str) -> None:
     """One action entered a stream's FIFO."""
-    _hot_counter("hstreams.enqueued", kind).inc()
+    registry = get_registry()
+    metrics = _action_metrics(registry, kind)
+    if metrics.enqueued is None:
+        metrics.enqueued = registry.counter("hstreams.enqueued", kind=kind)
+    metrics.enqueued.inc()
 
 
 def observe_action(kind: str, duration: float, nbytes: int = 0) -> None:
     """One action completed its payload stage."""
-    _hot_counter("hstreams.actions", kind).inc()
-    _hot_histogram("hstreams.action_seconds", kind).observe(
-        max(duration, 0.0)
-    )
+    registry = get_registry()
+    metrics = _action_metrics(registry, kind)
+    if metrics.actions is None:
+        metrics.actions = registry.counter("hstreams.actions", kind=kind)
+        metrics.seconds = registry.histogram(
+            "hstreams.action_seconds", buckets=DEFAULT_TIME_BUCKETS,
+            kind=kind,
+        )
+    metrics.actions.inc()
+    metrics.seconds.observe(max(duration, 0.0))
     if nbytes:
-        _hot_counter("hstreams.bytes_moved", kind).inc(nbytes)
+        if metrics.bytes_moved is None:
+            metrics.bytes_moved = registry.counter(
+                "hstreams.bytes_moved", kind=kind
+            )
+        metrics.bytes_moved.inc(nbytes)
 
 
 def observe_fault(site: str) -> None:

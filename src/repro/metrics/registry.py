@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 import threading
+from bisect import bisect_left
 from contextlib import contextmanager
 from typing import Any, Iterator
 
@@ -132,16 +133,14 @@ class Histogram:
         value = float(value)
         if math.isnan(value):
             raise MetricsError(f"histogram {self.name} cannot observe NaN")
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[i] += 1
-                break
-        else:
-            self.counts[-1] += 1
+        # The first bound >= value; past the last bound, the overflow cell.
+        self.counts[bisect_left(self.buckets, value)] += 1
         self.count += 1
         self.sum += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
 
     @property
     def mean(self) -> float | None:
@@ -168,10 +167,11 @@ class MetricsRegistry:
         self._metrics: dict[tuple, Counter | Gauge | Histogram] = {}
         #: Name -> kind, to reject cross-kind reuse of a metric name.
         self._kinds: dict[str, str] = {}
-        #: Memo for the per-action instrumentation hot path (see
-        #: :mod:`repro.metrics.instrument`); identity resolution costs
-        #: microseconds, which is visible at 10^4+ actions per sweep.
-        self._hot: dict[tuple, Counter | Gauge | Histogram] = {}
+        #: Memo for the per-action instrumentation hot path, keyed by
+        #: action kind (see :mod:`repro.metrics.instrument`); identity
+        #: resolution costs microseconds, which is visible at 10^4+
+        #: actions per sweep.
+        self._hot: dict[str, Any] = {}
 
     def __len__(self) -> int:
         with self._lock:

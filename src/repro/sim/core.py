@@ -9,13 +9,9 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Callable, Generator, Iterable
-from typing import Any, TYPE_CHECKING
+from typing import Any
 
 from repro.errors import SimulationError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from repro.sim.process import Process
-    from repro.sim.sync import AllOf, AnyOf
 
 #: Scheduling priorities.  ``URGENT`` events at time *t* run before
 #: ``NORMAL`` events at the same *t* — used internally so resource
@@ -134,13 +130,9 @@ class Event:
     # -- composition ------------------------------------------------------
 
     def __and__(self, other: "Event") -> "AllOf":
-        from repro.sim.sync import AllOf
-
         return AllOf(self.env, [self, other])
 
     def __or__(self, other: "Event") -> "AnyOf":
-        from repro.sim.sync import AnyOf
-
         return AnyOf(self.env, [self, other])
 
 
@@ -206,18 +198,12 @@ class Environment:
 
     def process(self, generator: Generator[Event, Any, Any]) -> "Process":
         """Start a new process driving ``generator``."""
-        from repro.sim.process import Process
-
         return Process(self, generator)
 
     def all_of(self, events: Iterable[Event]) -> "AllOf":
-        from repro.sim.sync import AllOf
-
         return AllOf(self, list(events))
 
     def any_of(self, events: Iterable[Event]) -> "AnyOf":
-        from repro.sim.sync import AnyOf
-
         return AnyOf(self, list(events))
 
     # -- scheduling --------------------------------------------------------
@@ -348,3 +334,9 @@ class Environment:
 
 def _reraise(exc: BaseException) -> Any:
     raise exc
+
+
+# The event subclasses below build on this module's names, so they are
+# bound last (a call-time import would cost every process start).
+from repro.sim.process import Process  # noqa: E402
+from repro.sim.sync import AllOf, AnyOf  # noqa: E402

@@ -45,6 +45,9 @@ class Process(Event):
         self._target: Event | None = None
         #: Resumption is the engine's hottest callback; creating the bound
         #: method once (instead of on every append/remove) is measurable.
+        #: It refers back to the process, so it is dropped when the
+        #: generator finishes: a finished process is then freed by
+        #: reference counting instead of waiting for the cyclic GC.
         self._resume_cb = self._resume
 
         # Kick-start the generator via an immediate initialisation event.
@@ -114,10 +117,12 @@ class Process(Event):
                 next_target = self._generator.throw(event._value)
         except StopIteration as stop:
             env.active_process = None
+            self._resume_cb = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
             env.active_process = None
+            self._resume_cb = None
             self.fail(exc)
             return
         env.active_process = None

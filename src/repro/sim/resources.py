@@ -110,6 +110,11 @@ class Resource:
     # -- internals ---------------------------------------------------------
 
     def _queue_request(self, request: Request) -> None:
+        if not self._waiting and len(self.users) < self._capacity:
+            # Free with nobody queued: queueing would pop this request
+            # straight back off, so grant it at once.
+            self._admit(request)
+            return
         heapq.heappush(self._waiting, (request.priority, request._order, request))
         self._grant()
 
@@ -118,10 +123,13 @@ class Resource:
             _, _, request = heapq.heappop(self._waiting)
             if request.triggered:  # cancelled
                 continue
-            self.users.append(request)
-            for observer in self.observers:
-                observer("acquire", self.env.now, request)
-            request.succeed()
+            self._admit(request)
+
+    def _admit(self, request: Request) -> None:
+        self.users.append(request)
+        for observer in self.observers:
+            observer("acquire", self.env.now, request)
+        request.succeed()
 
     def _do_release(self, request: Request) -> None:
         try:

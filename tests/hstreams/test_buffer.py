@@ -105,6 +105,20 @@ class TestDeviceInstances:
         with pytest.raises(DeviceMemoryError):
             huge.instantiate(mic)
 
+    @pytest.mark.parametrize(
+        "shape, dtype",
+        [((2**32, 2**32), np.uint8), ((3037000500, 3037000500), np.float64)],
+    )
+    def test_size_past_int64_is_exact(self, mic, shape, dtype):
+        """Element counts past 2**63 must not wrap (to 0, or negative
+        bytes): such a buffer is far too big for any device."""
+        huge = Buffer(None, shape=shape, dtype=dtype)
+        assert huge.size == shape[0] * shape[1]
+        assert huge.nbytes == shape[0] * shape[1] * np.dtype(dtype).itemsize
+        with pytest.raises(DeviceMemoryError):
+            huge.instantiate(mic)
+        assert mic.memory.used == 0
+
 
 class TestDataMovement:
     def test_h2d_d2h_roundtrip(self, mic):

@@ -1,9 +1,12 @@
 """Unit tests for generator-coroutine processes."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment, Interrupt, Process
 
 
 class TestProcessBasics:
@@ -222,3 +225,29 @@ class TestInterrupt:
         env.run()
         assert resumptions == ["irq", "end"]
         assert env.now == 11.0
+
+
+class TestProcessLifetime:
+    def test_finished_process_is_freed_without_the_cyclic_gc(self):
+        """A finished process holds no reference back to itself, so
+        dropping the last outside reference frees it at once."""
+
+        class Tracked(Process):
+            __slots__ = ("__weakref__",)
+
+        def proc(env):
+            yield env.timeout(1.0)
+            return "done"
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            env = Environment()
+            process = Tracked(env, proc(env))
+            assert env.run(until=process) == "done"
+            ref = weakref.ref(process)
+            del process
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
