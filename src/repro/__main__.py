@@ -5,7 +5,7 @@ Subcommands::
     python -m repro info           # device spec + calibration table
     python -m repro demo           # streamed pipeline + Gantt + report
     python -m repro serve          # prediction-as-a-service HTTP server
-    python -m repro experiments    # forwards to repro.experiments
+    python -m repro experiments    # repro.experiments, argv untouched
 """
 
 from __future__ import annotations
@@ -288,136 +288,29 @@ def add_serve_parser(sub) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["experiments"]:
+        from repro.experiments.__main__ import main as experiments_main
+
+        return experiments_main(argv[1:])
     parser = argparse.ArgumentParser(prog="python -m repro")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("info", help="device spec and calibration anchors")
     sub.add_parser("demo", help="run a streamed pipeline, show Gantt+report")
     add_serve_parser(sub)
-    exp = sub.add_parser(
+    # Listed for --help only: main() hands everything after
+    # "experiments" to repro.experiments before parsing.
+    sub.add_parser(
         "experiments",
-        help="regenerate paper figures",
-        epilog="Resilience flags (--retries/--checkpoint/--fault-plan) "
-        "are forwarded to repro.experiments; see docs/RELIABILITY.md.",
+        help="regenerate paper figures (see: experiments --help)",
     )
-    exp.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for sweep-style figures (0 = all cores)",
-    )
-    exp.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="retry failed sweep points up to N times",
-    )
-    exp.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="FILE",
-        help="checkpoint sweep progress to FILE and resume from it",
-    )
-    exp.add_argument(
-        "--fault-plan",
-        default=None,
-        metavar="SPEC",
-        help="inject deterministic faults (testing aid)",
-    )
-    exp.add_argument(
-        "--on-error",
-        choices=["raise", "record"],
-        default=None,
-        help="abort on an unrecoverable sweep point (raise) or render "
-        "it as a gap (record)",
-    )
-    exp.add_argument(
-        "--engine",
-        choices=["sim", "model", "hybrid", "learned"],
-        default=None,
-        help="evaluation engine: discrete-event simulation (sim), "
-        "analytic model (model), certified model with simulation "
-        "fallback (hybrid), or corpus-trained model behind an "
-        "uncertainty gate (learned)",
-    )
-    exp.add_argument(
-        "--no-grid",
-        action="store_true",
-        help="disable the vectorized grid-prediction path for the "
-        "model/hybrid engines (per-point scalar prediction instead)",
-    )
-    exp.add_argument(
-        "--engine-store",
-        default=None,
-        metavar="PATH",
-        help="persist hybrid-engine certification verdicts to PATH so "
-        "repeat invocations skip DES calibration runs",
-    )
-    exp.add_argument(
-        "--keep-traces",
-        action="store_true",
-        help="ship full run objects from workers instead of the slim "
-        "scalar transport",
-    )
-    exp.add_argument(
-        "--app",
-        default=None,
-        metavar="NAME",
-        help="restrict per-app figures to one panel (mm, cf, kmeans, "
-        "hotspot, nn, srad)",
-    )
-    exp.add_argument(
-        "--workload",
-        default=None,
-        metavar="FILE",
-        help="workload-spec JSON file for the 'workload' experiment "
-        "(see docs/WORKLOADS.md)",
-    )
-    exp.add_argument(
-        "--results-dir",
-        default=None,
-        metavar="DIR",
-        help="directory the run manifest is written under",
-    )
-    exp.add_argument(
-        "--run-name",
-        default=None,
-        metavar="NAME",
-        help="manifest subdirectory name",
-    )
-    exp.add_argument(
-        "--profile",
-        action="store_true",
-        help="embed cProfile's hot functions in the run manifest",
-    )
-    exp.add_argument("rest", nargs=argparse.REMAINDER)
     args = parser.parse_args(argv)
 
     if args.command == "info":
         return cmd_info()
     if args.command == "demo":
         return cmd_demo()
-    if args.command == "serve":
-        return cmd_serve(args)
-    from repro.experiments.__main__ import main as experiments_main
-
-    rest = list(args.rest)
-    for flag in (
-        "jobs", "retries", "checkpoint", "fault_plan", "on_error",
-        "engine", "app", "results_dir", "run_name", "engine_store",
-        "workload",
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            rest = [f"--{flag.replace('_', '-')}", str(value)] + rest
-    if args.profile:
-        rest = ["--profile"] + rest
-    if args.no_grid:
-        rest = ["--no-grid"] + rest
-    if args.keep_traces:
-        rest = ["--keep-traces"] + rest
-    return experiments_main(rest)
+    return cmd_serve(args)
 
 
 if __name__ == "__main__":

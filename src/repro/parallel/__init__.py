@@ -45,7 +45,6 @@ from repro.parallel.runspec import (
     RunSpec,
     compress_snapshot,
     decompress_snapshot,
-    execute_spec,
     execute_spec_slim,
 )
 
@@ -67,7 +66,6 @@ __all__ = [
     "decode_run",
     "decompress_snapshot",
     "encode_run",
-    "execute_spec",
     "execute_spec_slim",
     "is_failed",
     "resolve_jobs",

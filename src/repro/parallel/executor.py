@@ -2,15 +2,18 @@
 
 Every figure sweep and every exhaustive (P, T) search evaluates
 *independent* :class:`~repro.parallel.runspec.RunSpec`\\ s — the classic
-embarrassingly-parallel shape.  :class:`SweepExecutor` runs them over a
-``ProcessPoolExecutor`` while guaranteeing:
+embarrassingly-parallel shape.  :class:`SweepExecutor` runs them through
+one drain loop over *tasks* — one submission of one or more specs — to
+a ``ProcessPoolExecutor`` or, in-process, one task at a time, while
+guaranteeing:
 
 * **deterministic ordering** — results come back in submission order no
   matter which worker finishes first, so parallel sweeps are
   bit-identical to serial ones;
-* **serial fallback** — ``jobs=1`` (the default), an unpicklable spec,
-  or a pool that fails to start all degrade to in-process execution
-  with the same results;
+* **in-process execution** — ``jobs=1`` (the default), an unpicklable
+  spec, a pool that fails to start, and small latency-sensitive subsets
+  run through the same loop in the calling process, with the same
+  results;
 * **cache integration** — hits are served before anything is submitted,
   and misses are written back, so overlapping sweeps (fig8's config
   search, fig9, the heuristics grid) pay for each configuration once;
@@ -22,11 +25,12 @@ embarrassingly-parallel shape.  :class:`SweepExecutor` runs them over a
 * **fault tolerance** — a failing spec never silently discards the rest
   of the batch.  Without a :class:`~repro.parallel.RetryPolicy` the
   failure raises :class:`~repro.parallel.SweepError` *carrying every
-  completed result*; with one, attempts are retried (bounded, with
-  backoff and per-spec deadlines), crashed worker processes are reaped
-  and the pool rebuilt, and — under ``on_error="record"`` — a spec that
-  exhausts recovery yields a NaN-metric
-  :class:`~repro.parallel.FailedRun` placeholder instead of aborting;
+  completed result*; with one, attempts are retried per spec, also
+  inside a multi-spec task (bounded, with backoff and per-attempt
+  deadlines), crashed worker processes are reaped and the pool rebuilt,
+  and — under ``on_error="record"`` — a spec that exhausts recovery
+  yields a NaN-metric :class:`~repro.parallel.FailedRun` placeholder
+  instead of aborting;
 * **checkpoint/resume** — an optional
   :class:`~repro.parallel.SweepCheckpoint` persists completed points
   under their cache-fingerprint keys, so an interrupted sweep restarts
@@ -38,6 +42,7 @@ embarrassingly-parallel shape.  :class:`SweepExecutor` runs them over a
 
 from __future__ import annotations
 
+import heapq
 import os
 import pickle
 import time
@@ -45,8 +50,8 @@ from collections import deque
 from collections.abc import Callable, Iterable
 from concurrent.futures import (
     FIRST_COMPLETED,
+    Future,
     ProcessPoolExecutor,
-    as_completed,
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
@@ -72,10 +77,8 @@ from repro.parallel.runspec import (
     RunResult,
     RunSpec,
     decompress_snapshot,
-    execute_spec,
     execute_spec_batch,
     execute_spec_batch_slim,
-    execute_spec_slim,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -103,43 +106,59 @@ def _picklable(spec: RunSpec) -> bool:
         return False
 
 
-class _Unpicklable:
-    """Result wrapper whose pickling always fails (the injected
-    ``worker.unpicklable`` fault): the worker computes the run fine but
-    cannot ship it back, exercising the executor's result-path
-    recovery."""
+def _execute_inline(
+    specs: "list[RunSpec]",
+    plan: "FaultPlan | None" = None,
+    faults: "list[tuple[int, str | None]] | None" = None,
+) -> list:
+    """The in-process task: :func:`execute_spec_batch` with worker
+    faults degraded to synchronous stand-ins.  A "crash" fails with
+    :class:`WorkerCrashError` (this process must survive), a "hang"
+    fails at once with :class:`WorkerTimeoutError` (in-process
+    execution cannot be preempted), and "unpicklable" is a no-op
+    (nothing crosses a process boundary)."""
+    if faults is None:
+        return execute_spec_batch(specs)
+    outcomes: list = []
+    for spec, (attempt, directive) in zip(specs, faults):
+        if directive == "crash":
+            outcomes.append(("err", InjectedWorkerCrash(
+                "injected worker crash (in-process)"), 0.0))
+        elif directive == "hang":
+            outcomes.append(("err", InjectedWorkerTimeout(
+                "injected worker hang (in-process)"), 0.0))
+        else:
+            outcomes += execute_spec_batch([spec], plan, [(attempt, None)])
+    return outcomes
 
-    def __init__(self, run: "AppRun") -> None:
-        self.run = run
-        self._poison = lambda: None  # locals never pickle
+
+class _InlinePool:
+    """Stand-in for a process pool: ``submit`` runs the task at once, in
+    the calling process, and returns its finished future."""
+
+    def submit(self, fn, *args) -> Future:
+        future: Future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False):
+        pass
 
 
-def execute_spec_faulty(
-    spec: RunSpec,
-    plan: FaultPlan,
-    attempt: int,
-    directive: "str | None",
-) -> "AppRun":
-    """Worker entry point when a fault plan is in force.
-
-    ``directive`` was drawn by the parent (deterministically, from the
-    spec's batch index): ``crash`` hard-kills the worker process,
-    ``hang`` sleeps past any reasonable deadline, ``unpicklable``
-    poisons the result.  Runtime faults activate around the simulation
-    itself.
-    """
-    if directive == "crash":
-        os._exit(17)
-    if directive == "hang":
-        time.sleep(plan.hang_seconds)
-        raise WorkerTimeoutError(
-            f"injected hang outlived its {plan.hang_seconds}s bound"
-        )
-    with plan.active(attempt=attempt):
-        run = spec.execute()
-    if directive == "unpicklable":
-        return _Unpicklable(run)  # type: ignore[return-value]
-    return run
+def _stop(pool, kill: bool) -> None:
+    """Shut a pool down.  A drained pool's workers are idle, so a
+    blocking shutdown is cheap (and tearing the queues down without
+    waiting races the pool's feeder thread).  After a crash, a missed
+    deadline, or an error leaving the loop, ``kill`` terminates the
+    workers first: a hung or dead worker never finishes its task."""
+    try:
+        if kill:
+            processes = getattr(pool, "_processes", None) or {}
+            for proc in list(processes.values()):
+                proc.terminate()
+        pool.shutdown(wait=not kill, cancel_futures=True)
+    except Exception:
+        pass
 
 
 class SweepExecutor:
@@ -151,7 +170,6 @@ class SweepExecutor:
         jobs: "int | None" = 1,
         cache: SimulationCache | None = None,
         progress: ProgressFn | None = None,
-        max_inflight: int | None = None,
         retry: RetryPolicy | None = None,
         checkpoint: SweepCheckpoint | None = None,
         fault_plan: FaultPlan | None = None,
@@ -167,9 +185,6 @@ class SweepExecutor:
         self.jobs = resolve_jobs(jobs)
         self.cache = cache
         self.progress = progress
-        #: Bound on queued-but-unfinished submissions, so a 56x6-point
-        #: sweep does not pickle every spec up front.
-        self.max_inflight = max_inflight or 4 * self.jobs
         self.retry = retry
         self.checkpoint = checkpoint
         self.fault_plan = fault_plan
@@ -341,14 +356,18 @@ class SweepExecutor:
 
             try:
                 if misses:
+                    pooled: list[int] = []
                     if self.jobs > 1 and not self._inline_eligible(
                         inline, len(misses)
                     ):
-                        done = self._run_parallel(
-                            specs, misses, results, done
+                        pooled = [i for i in misses if _picklable(specs[i])]
+                    if pooled:
+                        done = self._drain(specs, pooled, results, done)
+                    if len(pooled) < len(misses):
+                        local = sorted(set(misses).difference(pooled))
+                        done = self._drain(
+                            specs, local, results, done, in_process=True
                         )
-                    else:
-                        done = self._run_serial(specs, misses, results, done)
             finally:
                 if buffer:
                     self.cache.put_many(buffer)
@@ -378,9 +397,10 @@ class SweepExecutor:
 
     def _inline_eligible(self, inline: bool, n_misses: int) -> bool:
         """Whether an ``inline``-flagged subset should skip the pool.
-        Retries and fault plans keep their per-attempt submission
-        machinery; otherwise a subset no larger than one pool round
-        is cheaper in-process than a worker spawn."""
+        Retries and fault plans stay on the pool, where worker faults
+        are acted out for real and deadlines can be enforced; otherwise
+        a subset no larger than one pool round is cheaper in-process
+        than a worker spawn."""
         return (
             inline
             and self.retry is None
@@ -392,32 +412,230 @@ class SweepExecutor:
         """Convenience: execute a single spec through the cache."""
         return self.map([spec])[0]
 
-    # -- shared internals --------------------------------------------------
+    # -- the drain loop ----------------------------------------------------
 
-    def _complete(self, spec: RunSpec, run: "AppRun") -> None:
-        if self._put_buffer is not None:
-            self._put_buffer.append((spec, run))
-        elif self.cache is not None:
-            self.cache.put(spec, run)
-        if self.checkpoint is not None:
-            self.checkpoint.record(spec, run)
+    def _effective_chunksize(self, n: int) -> int:
+        """Specs per pool task.  Attempts are accounted per spec inside
+        a task, so retries and fault plans batch like the plain path;
+        only a per-attempt deadline forces one spec per task, because a
+        deadline can only be enforced on a whole task.  The default
+        keeps at least ``4 * jobs`` tasks so the pool stays balanced,
+        capped at 8 specs per task."""
+        if self.retry is not None and self.retry.timeout is not None:
+            return 1
+        if self.chunksize is not None:
+            return self.chunksize
+        return max(1, min(8, n // (4 * self.jobs)))
 
-    def _classify(self, exc: BaseException) -> None:
-        if isinstance(exc, WorkerTimeoutError):
-            self.stats.timeouts += 1
-            get_registry().counter("executor.timeouts").inc()
-        elif isinstance(exc, WorkerCrashError):
-            self.stats.worker_crashes += 1
-            get_registry().counter("executor.worker_crashes").inc()
+    def _drain(
+        self, specs, indices, results, done, in_process: bool = False
+    ) -> int:
+        """Run ``indices`` to completion: the only code that submits,
+        retries, charges or shuts down.
 
-    def _should_retry(self, exc: BaseException, attempt: int) -> bool:
-        return (
-            self.retry is not None
-            and attempt < self.retry.max_retries
-            and self.retry.retryable(exc)
-        )
+        Specs wait in ``ready`` (or, backing off before a retry, in the
+        ``backoff`` heap) until a task takes them.  A process pool holds
+        up to ``4 * jobs`` tasks of :meth:`_effective_chunksize` specs;
+        in-process, :class:`_InlinePool` runs one single-spec task at a
+        time, so each outcome is handled before the next spec starts.
+        Each spec's outcome inside a task is handled on its own.  A
+        task lost whole — its worker died and broke the pool, or its
+        result would not pickle — charges only the specs the fault plan
+        directed to cause that loss and requeues the rest uncharged;
+        when the plan directed none of them (or there is no plan), every
+        lost spec is charged.  A pool is shut down cleanly once the loop
+        drains, and its workers are terminated only after a crash, a
+        missed deadline, or an error leaving the loop.
+        """
+        plan = self.fault_plan
+        pool = None
+        if in_process:
+            pool, chunk, limit, task = _InlinePool(), 1, 1, _execute_inline
+            deadline = None
+        else:
+            chunk = self._effective_chunksize(len(indices))
+            limit = 4 * self.jobs
+            task = (
+                execute_spec_batch
+                if self.keep_traces
+                else execute_spec_batch_slim
+            )
+            deadline = self.retry.timeout if self.retry is not None else None
+            workers = min(self.jobs, -(-len(indices) // chunk))
+        ready: deque = deque((i, 0) for i in indices)
+        #: (eligible-at, spec index, attempt): retries waiting out their
+        #: backoff without blocking other completions.
+        backoff: list = []
+        #: future -> ([(spec index, attempt, directive)], submitted-at)
+        inflight: dict = {}
+        #: Specs of tasks lost with a broken pool, charged once the
+        #: pool's last task has resolved.
+        lost: list = []
+        broken = False
+        drained = False
+        try:
+            while ready or backoff or inflight or broken:
+                now = time.monotonic()
+                while backoff and backoff[0][0] <= now:
+                    _, i, attempt = heapq.heappop(backoff)
+                    ready.appendleft((i, attempt))
+                while ready and not broken and len(inflight) < limit:
+                    entries = [
+                        ready.popleft() for _ in range(min(chunk, len(ready)))
+                    ]
+                    if pool is None:
+                        try:
+                            pool = ProcessPoolExecutor(max_workers=workers)
+                        except OSError:
+                            # Sandboxes without process-spawn rights:
+                            # run the rest in-process.
+                            pool, chunk, limit = _InlinePool(), 1, 1
+                            task, deadline = _execute_inline, None
+                            ready.extendleft(reversed(entries))
+                            continue
+                    tagged = [
+                        (i, a, plan.worker_directive(i, a) if plan else None)
+                        for i, a in entries
+                    ]
+                    try:
+                        future = pool.submit(
+                            task,
+                            [specs[i] for i, _ in entries],
+                            plan,
+                            [(a, d) for _, a, d in tagged] if plan else None,
+                        )
+                    except (BrokenProcessPool, RuntimeError, OSError):
+                        ready.extendleft(reversed(entries))
+                        broken = True
+                        break
+                    inflight[future] = (tagged, now)
 
-    def _attempt_ok(self, specs, results, i, run, done, elapsed=None) -> int:
+                if not inflight:
+                    if broken:
+                        # The broken pool's last task has resolved:
+                        # charge the loss, then rebuild on next submit.
+                        done = self._lose(
+                            specs, results, ready, backoff, lost,
+                            WorkerCrashError(
+                                "a worker process died with this spec "
+                                "in flight"
+                            ),
+                            "crash", done,
+                        )
+                        lost = []
+                        _stop(pool, kill=True)
+                        pool, broken = None, False
+                    elif backoff:
+                        time.sleep(max(0.0, backoff[0][0] - time.monotonic()))
+                    continue
+
+                wakeups = [backoff[0][0]] if backoff else []
+                if deadline is not None:
+                    wakeups.append(
+                        min(t0 for _, t0 in inflight.values()) + deadline
+                    )
+                completed, _ = wait(
+                    inflight,
+                    timeout=(
+                        max(0.01, min(wakeups) - now) if wakeups else None
+                    ),
+                    return_when=FIRST_COMPLETED,
+                )
+                for future in completed:
+                    tagged, _ = inflight.pop(future)
+                    try:
+                        payload = future.result()
+                    except BrokenProcessPool:
+                        # Every other task of this pool resolves the
+                        # same way; the loss is charged once they have.
+                        broken = True
+                        lost += tagged
+                    except Exception as exc:
+                        # The result would not pickle: the whole task is
+                        # lost, but the pool survives.
+                        done = self._lose(
+                            specs, results, ready, backoff, tagged, exc,
+                            "unpicklable", done,
+                        )
+                    else:
+                        done = self._deliver(
+                            specs, results, backoff, tagged, payload, done
+                        )
+
+                now = time.monotonic()
+                if deadline is not None and any(
+                    now - t0 > deadline for _, t0 in inflight.values()
+                ):
+                    # A hung worker still occupies its process: charge
+                    # the expired attempts, requeue the rest uncharged,
+                    # and rebuild the pool.
+                    for tagged, t0 in inflight.values():
+                        if now - t0 <= deadline:
+                            ready.extend((i, a) for i, a, _ in tagged)
+                            continue
+                        for i, attempt, _ in tagged:
+                            done = self._attempt_failed(
+                                specs, results, backoff, i, attempt,
+                                WorkerTimeoutError(
+                                    f"spec {i} exceeded its {deadline}s "
+                                    "deadline"
+                                ),
+                                done,
+                            )
+                    inflight.clear()
+                    _stop(pool, kill=True)
+                    pool = None
+            drained = True
+        finally:
+            if pool is not None:
+                _stop(pool, kill=not drained)
+        return done
+
+    def _deliver(self, specs, results, backoff, tagged, payload, done) -> int:
+        """Handle one finished task's per-spec outcomes."""
+        if isinstance(payload, tuple):
+            # Slim transport: the worker merged its batch's metrics
+            # snapshots into one compressed delta.  Merging it once here
+            # is exactly equivalent to per-run merges (associative and
+            # commutative), so parent totals are unchanged.
+            outcomes, metrics_z = payload
+            if metrics_z is not None:
+                get_registry().merge_snapshot(decompress_snapshot(metrics_z))
+        else:
+            outcomes = payload
+        for (i, attempt, _), (status, value, seconds) in zip(
+            tagged, outcomes
+        ):
+            if status == "ok":
+                if isinstance(value, RunResult):
+                    value = value.to_run()
+                done = self._attempt_ok(
+                    specs, results, i, value, seconds, done
+                )
+            else:
+                done = self._attempt_failed(
+                    specs, results, backoff, i, attempt, value, done
+                )
+        return done
+
+    def _lose(
+        self, specs, results, ready, backoff, tagged, exc, cause, done
+    ) -> int:
+        """Charge a loss that took several specs at once: only the specs
+        the fault plan directed to ``cause`` it, else (a real failure has
+        no known culprit) every lost spec.  The rest are requeued
+        uncharged."""
+        culprits = any(directive == cause for _, _, directive in tagged)
+        for i, attempt, directive in tagged:
+            if culprits and directive != cause:
+                ready.append((i, attempt))
+            else:
+                done = self._attempt_failed(
+                    specs, results, backoff, i, attempt, exc, done
+                )
+        return done
+
+    def _attempt_ok(self, specs, results, i, run, seconds, done) -> int:
         self.stats.attempts += 1
         self.stats.executed += 1
         # The *only* place worker metrics enter the parent registry:
@@ -428,420 +646,67 @@ class SweepExecutor:
         # parallel completion order cannot change the merged totals.
         registry = get_registry()
         registry.counter("executor.runs_executed").inc()
-        if elapsed is not None:
-            registry.histogram("executor.run_seconds").observe(elapsed)
+        registry.histogram("executor.run_seconds").observe(seconds)
         metrics = getattr(run, "metrics", None)
         if metrics is not None:
             registry.merge_snapshot(metrics)
-        self._complete(specs[i], run)
+        if self._put_buffer is not None:
+            self._put_buffer.append((specs[i], run))
+        elif self.cache is not None:
+            self.cache.put(specs[i], run)
+        if self.checkpoint is not None:
+            self.checkpoint.record(specs[i], run)
         results[i] = run
-        done += 1
         self._notify_progress(specs[i])
-        return done
+        return done + 1
 
-    def _exhausted(self, specs, results, i, exc, attempts, done) -> int:
-        """A spec ran out of recovery: record a placeholder or abort
+    def _attempt_failed(
+        self, specs, results, backoff, i, attempt, exc, done
+    ) -> int:
+        """Charge one failed attempt: retry it after its backoff, or
+        record a placeholder / abort once recovery is exhausted
         (carrying every completed result on the exception)."""
+        self.stats.attempts += 1
+        if isinstance(exc, WorkerTimeoutError):
+            self.stats.timeouts += 1
+            get_registry().counter("executor.timeouts").inc()
+        elif isinstance(exc, WorkerCrashError):
+            self.stats.worker_crashes += 1
+            get_registry().counter("executor.worker_crashes").inc()
+        retry = self.retry
+        if (
+            retry is not None
+            and attempt < retry.max_retries
+            and retry.retryable(exc)
+        ):
+            self.stats.retries += 1
+            get_registry().counter("executor.retries").inc()
+            heapq.heappush(
+                backoff,
+                (time.monotonic() + retry.delay(attempt), i, attempt + 1),
+            )
+            return done
         self.stats.failures += 1
         get_registry().counter("executor.failures").inc()
+        spec = specs[i]
         if self.on_error == "record":
-            spec = specs[i]
             results[i] = FailedRun(
                 app=getattr(spec.app_cls, "name", spec.app_cls.__name__),
                 places=spec.places,
                 tiles=0,
                 error=str(exc),
                 error_type=type(exc).__name__,
-                attempts=attempts,
+                attempts=attempt + 1,
             )
-            done += 1
             self._notify_progress(spec)
-            return done
+            return done + 1
         raise SweepError(
-            f"spec {i} failed after {attempts} attempt(s): {exc} "
+            f"spec {i} failed after {attempt + 1} attempt(s): {exc} "
             f"[{sum(1 for r in results if r is not None)}/{len(specs)} "
             f"completed results preserved on this error]",
             results=list(results),
-            spec=specs[i],
+            spec=spec,
         ) from exc
-
-    # -- serial path -------------------------------------------------------
-
-    def _execute_inline(self, spec: RunSpec, i: int, attempt: int):
-        """One in-process attempt, honouring the fault plan.
-
-        Worker faults degrade to synchronous stand-ins here: a "crash"
-        raises :class:`WorkerCrashError` (this process must survive),
-        a "hang" raises :class:`WorkerTimeoutError` immediately (serial
-        execution cannot be preempted), and "unpicklable" is a no-op
-        (nothing crosses a process boundary).
-        """
-        plan = self.fault_plan
-        if plan is None:
-            return spec.execute()
-        directive = plan.worker_directive(i, attempt)
-        if directive == "crash":
-            raise InjectedWorkerCrash(
-                f"injected worker crash for spec {i} (serial mode)"
-            )
-        if directive == "hang":
-            raise InjectedWorkerTimeout(
-                f"injected worker hang for spec {i} (serial mode)"
-            )
-        with plan.active(attempt=attempt):
-            return spec.execute()
-
-    def _run_serial(self, specs, indices, results, done) -> int:
-        for i in indices:
-            done = self._serial_one(specs, i, results, done)
-        return done
-
-    def _serial_one(self, specs, i, results, done) -> int:
-        attempt = 0
-        while True:
-            t0 = time.perf_counter()
-            try:
-                run = self._execute_inline(specs[i], i, attempt)
-            except Exception as exc:
-                self.stats.attempts += 1
-                self._classify(exc)
-                if self._should_retry(exc, attempt):
-                    self.stats.retries += 1
-                    get_registry().counter("executor.retries").inc()
-                    delay = self.retry.delay(attempt)
-                    if delay > 0:
-                        time.sleep(delay)
-                    attempt += 1
-                    continue
-                return self._exhausted(
-                    specs, results, i, exc, attempt + 1, done
-                )
-            return self._attempt_ok(
-                specs, results, i, run, done,
-                elapsed=time.perf_counter() - t0,
-            )
-
-    # -- parallel path -----------------------------------------------------
-
-    def _run_parallel(self, specs, indices, results, done) -> int:
-        parallelizable, local = [], []
-        for i in indices:
-            (parallelizable if _picklable(specs[i]) else local).append(i)
-        if parallelizable:
-            chunk = self._effective_chunksize(len(parallelizable))
-            if chunk > 1:
-                done = self._drain_chunked(
-                    specs, parallelizable, results, done, chunk
-                )
-            else:
-                done = self._drain(specs, parallelizable, results, done)
-        if local:
-            done = self._run_serial(specs, local, results, done)
-        return done
-
-    def _effective_chunksize(self, n: int) -> int:
-        """Specs per pool task.  Chunking only applies on the plain
-        path: retries and fault plans need per-spec submission (worker
-        directives and deadlines are drawn per attempt).  The default
-        keeps at least ``4 * jobs`` batches so the pool stays balanced,
-        capped at 8 specs per task."""
-        if self.retry is not None or self.fault_plan is not None:
-            return 1
-        if self.chunksize is not None:
-            return self.chunksize
-        return max(1, min(8, n // (4 * self.jobs)))
-
-    def _drain_chunked(self, specs, indices, results, done, chunk) -> int:
-        """Submit specs in batches of ``chunk`` per pool task.  A spec
-        that fails inside a batch is reported individually (the worker
-        returns per-spec outcomes), so ``on_error`` semantics match the
-        unchunked path; a batch lost to a pool failure is re-run
-        in-process."""
-        batches = [
-            indices[k:k + chunk] for k in range(0, len(indices), chunk)
-        ]
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(batches))
-            )
-        except (OSError, PermissionError):
-            return self._run_serial(specs, indices, results, done)
-        batch_fn = (
-            execute_spec_batch if self.keep_traces else execute_spec_batch_slim
-        )
-        try:
-            futures = {}
-            for batch in batches:
-                try:
-                    future = pool.submit(
-                        batch_fn, [specs[i] for i in batch]
-                    )
-                except (BrokenProcessPool, RuntimeError, OSError):
-                    done = self._run_serial(specs, batch, results, done)
-                    continue
-                futures[future] = batch
-            for future in as_completed(futures):
-                batch = futures[future]
-                try:
-                    payload = future.result()
-                except Exception:
-                    # The pool broke (or the result would not pickle):
-                    # the whole batch is lost, so re-run it in-process
-                    # rather than guessing which spec was at fault.
-                    done = self._run_serial(specs, batch, results, done)
-                    continue
-                if isinstance(payload, tuple):
-                    # Slim transport: the worker merged its batch's
-                    # metrics snapshots into one compressed delta.
-                    # Merging it once here is exactly equivalent to the
-                    # per-run merges of the full path (associative and
-                    # commutative), so parent totals are unchanged.
-                    outcomes, metrics_z = payload
-                    if metrics_z is not None:
-                        get_registry().merge_snapshot(
-                            decompress_snapshot(metrics_z)
-                        )
-                else:
-                    outcomes = payload
-                for i, (status, result) in zip(batch, outcomes):
-                    if status == "ok":
-                        if isinstance(result, RunResult):
-                            result = result.to_run()
-                        done = self._attempt_ok(
-                            specs, results, i, result, done
-                        )
-                    else:
-                        done = self._exhausted(
-                            specs, results, i, result, 1, done
-                        )
-        finally:
-            # Workers are idle once every future has resolved, so a
-            # blocking shutdown is cheap — and tearing the queues down
-            # without waiting races the pool's feeder thread.
-            pool.shutdown(wait=True, cancel_futures=True)
-        return done
-
-    def _submit(self, pool, spec, i, attempt):
-        plan = self.fault_plan
-        if plan is not None:
-            directive = plan.worker_directive(i, attempt)
-            return pool.submit(
-                execute_spec_faulty, spec, plan, attempt, directive
-            )
-        if self.keep_traces:
-            return pool.submit(execute_spec, spec)
-        return pool.submit(execute_spec_slim, spec)
-
-    def _charged_for_crash(self, i: int, attempt: int) -> bool:
-        """Whether a pool break should cost this inflight spec an
-        attempt.  With a fault plan only the spec *directed* to crash
-        is charged (innocents are requeued for free); a real crash has
-        no known culprit, so every inflight spec is charged — the
-        conservative reading."""
-        plan = self.fault_plan
-        if plan is None:
-            return True
-        return plan.worker_directive(i, attempt) == "crash"
-
-    def _attempt_failed(
-        self, specs, results, pending, i, attempt, exc, done
-    ) -> int:
-        self.stats.attempts += 1
-        self._classify(exc)
-        if self._should_retry(exc, attempt):
-            self.stats.retries += 1
-            get_registry().counter("executor.retries").inc()
-            eligible = time.monotonic() + self.retry.delay(attempt)
-            pending.append((i, attempt + 1, eligible))
-            return done
-        return self._exhausted(specs, results, i, exc, attempt + 1, done)
-
-    def _poll_timeout(self, inflight, pending, now):
-        """How long to wait for completions: the nearest per-spec
-        deadline or backoff-eligibility instant, else forever."""
-        candidates = []
-        if self.retry is not None and self.retry.timeout is not None:
-            candidates.extend(
-                t0 + self.retry.timeout - now
-                for (_, _, t0) in inflight.values()
-            )
-        candidates.extend(e - now for (_, _, e) in pending if e > now)
-        if not candidates:
-            return None
-        return max(0.01, min(candidates))
-
-    def _drain(self, specs, indices, results, done) -> int:
-        workers = min(self.jobs, len(indices))
-        #: (spec index, attempt, eligible-at) — eligible-at implements
-        #: retry backoff without blocking other completions.
-        pending: deque = deque((i, 0, 0.0) for i in indices)
-        inflight: dict = {}
-        pool = None
-
-        def close_pool(kill: bool = False) -> None:
-            nonlocal pool
-            if pool is None:
-                return
-            if kill:
-                # Hung/dead workers never finish their task: terminate
-                # the processes so shutdown cannot block on them.
-                for proc in list(getattr(pool, "_processes", {}).values()):
-                    try:
-                        proc.terminate()
-                    except Exception:
-                        pass
-            try:
-                pool.shutdown(wait=not kill, cancel_futures=True)
-            except Exception:
-                pass
-            pool = None
-
-        try:
-            while pending or inflight:
-                now = time.monotonic()
-                deferred = []
-                broken_on_submit = False
-                while pending and len(inflight) < self.max_inflight:
-                    i, attempt, eligible = pending.popleft()
-                    if eligible > now:
-                        deferred.append((i, attempt, eligible))
-                        continue
-                    if pool is None:
-                        try:
-                            pool = ProcessPoolExecutor(max_workers=workers)
-                        except (OSError, PermissionError):
-                            # Sandboxes without process-spawn rights:
-                            # degrade to serial rather than failing.
-                            pending.extendleft(
-                                reversed(deferred + [(i, attempt, eligible)])
-                            )
-                            order = [idx for idx, _, _ in pending]
-                            pending.clear()
-                            return self._run_serial(
-                                specs, order, results, done
-                            )
-                    try:
-                        future = self._submit(pool, specs[i], i, attempt)
-                    except (BrokenProcessPool, RuntimeError, OSError):
-                        deferred.append((i, attempt, eligible))
-                        broken_on_submit = True
-                        break
-                    inflight[future] = (i, attempt, now)
-                pending.extend(deferred)
-
-                if broken_on_submit:
-                    done = self._handle_pool_break(
-                        specs, results, pending, inflight, done
-                    )
-                    close_pool(kill=True)
-                    continue
-
-                if not inflight:
-                    if pending:
-                        soonest = min(e for (_, _, e) in pending)
-                        time.sleep(max(0.0, soonest - time.monotonic()))
-                    continue
-
-                completed, _ = wait(
-                    set(inflight),
-                    timeout=self._poll_timeout(inflight, pending, now),
-                    return_when=FIRST_COMPLETED,
-                )
-
-                if not completed:
-                    done, reaped = self._reap_timeouts(
-                        specs, results, pending, inflight, done
-                    )
-                    if reaped:
-                        close_pool(kill=True)
-                    continue
-
-                broken = False
-                for future in completed:
-                    i, attempt, t0 = inflight.pop(future)
-                    try:
-                        run = future.result()
-                    except BrokenProcessPool as exc:
-                        broken = True
-                        if self._charged_for_crash(i, attempt):
-                            done = self._attempt_failed(
-                                specs, results, pending, i, attempt,
-                                WorkerCrashError(
-                                    f"worker died executing spec {i}: {exc}"
-                                ),
-                                done,
-                            )
-                        else:
-                            pending.append((i, attempt, 0.0))
-                    except Exception as exc:
-                        done = self._attempt_failed(
-                            specs, results, pending, i, attempt, exc, done
-                        )
-                    else:
-                        if isinstance(run, RunResult):
-                            run = run.to_run()
-                        done = self._attempt_ok(
-                            specs, results, i, run, done,
-                            elapsed=time.monotonic() - t0,
-                        )
-                if broken:
-                    done = self._handle_pool_break(
-                        specs, results, pending, inflight, done
-                    )
-                    close_pool(kill=True)
-        finally:
-            close_pool(kill=True)
-        return done
-
-    def _handle_pool_break(
-        self, specs, results, pending, inflight, done
-    ) -> int:
-        """A worker died and took the pool with it: charge the culprit
-        (or, with no fault plan, every inflight spec) and requeue the
-        rest uncharged.  The caller rebuilds the pool."""
-        for future, (i, attempt, t0) in list(inflight.items()):
-            del inflight[future]
-            if self._charged_for_crash(i, attempt):
-                done = self._attempt_failed(
-                    specs, results, pending, i, attempt,
-                    WorkerCrashError(
-                        f"worker pool broke while spec {i} was inflight"
-                    ),
-                    done,
-                )
-            else:
-                pending.append((i, attempt, 0.0))
-        return done
-
-    def _reap_timeouts(
-        self, specs, results, pending, inflight, done
-    ) -> "tuple[int, bool]":
-        """Abandon attempts that blew their deadline.  A hung worker
-        still occupies its process, so the caller kills and rebuilds
-        the pool; other inflight specs are requeued uncharged."""
-        if self.retry is None or self.retry.timeout is None:
-            return done, False
-        now = time.monotonic()
-        expired = [
-            (future, entry)
-            for future, entry in inflight.items()
-            if now - entry[2] > self.retry.timeout
-        ]
-        if not expired:
-            return done, False
-        for future, (i, attempt, t0) in expired:
-            del inflight[future]
-            done = self._attempt_failed(
-                specs, results, pending, i, attempt,
-                WorkerTimeoutError(
-                    f"spec {i} exceeded its {self.retry.timeout}s deadline"
-                ),
-                done,
-            )
-        for future, (i, attempt, t0) in list(inflight.items()):
-            del inflight[future]
-            pending.append((i, attempt, 0.0))
-        return done, True
 
 
 def run_sweep(

@@ -11,15 +11,19 @@ identical results.
 
 from __future__ import annotations
 
+import os
+import time
 import zlib
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING, Any
 
 from repro.device.spec import DeviceSpec, PHI_31SP
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, WorkerTimeoutError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.apps.base import AppRun
+    from repro.faults import FaultPlan
     from repro.metrics.registry import MetricsSnapshot
 
 
@@ -287,65 +291,116 @@ def decompress_snapshot(blob: bytes) -> "MetricsSnapshot":
     )
 
 
-def execute_spec(spec: RunSpec) -> "AppRun":
-    """Module-level entry point for worker processes (must be picklable
-    by reference, hence not a method)."""
-    return spec.execute()
-
-
 def execute_spec_slim(spec: RunSpec) -> "RunResult | AppRun":
-    """Worker entry point for slim transport: ship a
-    :class:`RunResult` instead of the full run.  ``keep_timeline``
-    specs return the full ``AppRun`` (their trace is the product)."""
+    """Run one spec and ship a :class:`RunResult` instead of the full
+    run.  ``keep_timeline`` specs return the full ``AppRun`` (their
+    trace is the product)."""
     run = spec.execute()
     if spec.keep_timeline:
         return run
     return RunResult.from_run(run)
 
 
-def execute_spec_batch(specs: "list[RunSpec]") -> list:
-    """Worker entry point for chunked submission: run a batch of specs
-    in one pool task, reporting each outcome individually as
-    ``("ok", run)`` or ``("err", exc)`` so one failing spec does not
-    discard its batchmates."""
+class _Unpicklable:
+    """Result wrapper whose pickling always fails (the injected
+    ``worker.unpicklable`` fault): the worker computes the run fine but
+    cannot ship it back, exercising the executor's result-path
+    recovery."""
+
+    def __init__(self, run: "AppRun") -> None:
+        self.run = run
+        self._poison = lambda: None  # locals never pickle
+
+
+def _execute_directed(
+    spec: RunSpec,
+    plan: "FaultPlan | None",
+    attempt: int,
+    directive: "str | None",
+) -> "AppRun":
+    """One spec of a pool task, acting out its fault directive.
+
+    ``directive`` was drawn by the parent (deterministically, from the
+    spec's batch index and attempt): ``crash`` hard-kills the worker
+    process, ``hang`` sleeps out the plan's bound and fails,
+    ``unpicklable`` poisons the result.  Runtime faults activate around
+    the simulation itself.
+    """
+    if plan is None:
+        return spec.execute()
+    if directive == "crash":
+        os._exit(17)
+    if directive == "hang":
+        time.sleep(plan.hang_seconds)
+        raise WorkerTimeoutError(
+            f"injected hang outlived its {plan.hang_seconds}s bound"
+        )
+    with plan.active(attempt=attempt):
+        run = spec.execute()
+    if directive == "unpicklable":
+        return _Unpicklable(run)  # type: ignore[return-value]
+    return run
+
+
+def execute_spec_batch(
+    specs: "list[RunSpec]",
+    plan: "FaultPlan | None" = None,
+    faults: "list[tuple[int, str | None]] | None" = None,
+) -> list:
+    """Worker entry point: run a batch of specs in one pool task,
+    reporting each outcome individually as ``("ok", run, seconds)`` or
+    ``("err", exc, seconds)`` so one failing spec does not discard its
+    batchmates.  ``seconds`` is the wall time of that spec's own run.
+
+    Under a fault plan, ``faults`` holds one ``(attempt, directive)``
+    pair per spec (see :meth:`~repro.faults.FaultPlan.worker_directive`)
+    for the worker to act out.
+    """
     outcomes = []
-    for spec in specs:
+    for spec, (attempt, directive) in zip(
+        specs, faults or repeat((0, None))
+    ):
+        t0 = time.perf_counter()
         try:
-            outcomes.append(("ok", spec.execute()))
+            run = _execute_directed(spec, plan, attempt, directive)
         except Exception as exc:  # noqa: BLE001 - reported to the parent
-            outcomes.append(("err", exc))
+            outcomes.append(("err", exc, time.perf_counter() - t0))
+        else:
+            outcomes.append(("ok", run, time.perf_counter() - t0))
     return outcomes
 
 
 def execute_spec_batch_slim(
     specs: "list[RunSpec]",
+    plan: "FaultPlan | None" = None,
+    faults: "list[tuple[int, str | None]] | None" = None,
 ) -> "tuple[list, bytes | None]":
-    """Chunked slim transport: per-spec scalar outcomes plus **one**
+    """Slim transport: :func:`execute_spec_batch`'s per-spec outcomes,
+    with runs shipped as :class:`RunResult` records, plus **one**
     merged, compressed metrics delta for the whole batch.
 
-    Returns ``(outcomes, metrics_z)`` where ``outcomes`` entries are
-    ``("ok", RunResult | AppRun)`` or ``("err", exc)``.  Snapshot merge
-    is associative and commutative (counters add, histogram buckets
-    add), so the parent merging the blob once is exactly equivalent to
-    merging each run's snapshot individually — at a fraction of the
-    IPC bytes.  ``keep_timeline`` specs ride along as full runs with
-    their own metrics attached (never folded into the blob, so the
-    parent merges them through its normal per-run path).
+    Returns ``(outcomes, metrics_z)``.  Snapshot merge is associative
+    and commutative (counters add, histogram buckets add), so the
+    parent merging the blob once is exactly equivalent to merging each
+    run's snapshot individually — at a fraction of the IPC bytes.
+    ``keep_timeline`` specs ride along as full runs with their own
+    metrics attached (never folded into the blob, so the parent merges
+    them through its normal per-run path).
     """
-    outcomes: list = []
+    outcomes = execute_spec_batch(specs, plan, faults)
     merged = None
-    for spec in specs:
-        try:
-            run = spec.execute()
-        except Exception as exc:  # noqa: BLE001 - reported to the parent
-            outcomes.append(("err", exc))
-            continue
-        if spec.keep_timeline:
-            outcomes.append(("ok", run))
+    for k, (status, run, seconds) in enumerate(outcomes):
+        if (
+            status != "ok"
+            or specs[k].keep_timeline
+            or isinstance(run, _Unpicklable)
+        ):
             continue
         metrics = run.metrics
         if metrics is not None:
             merged = metrics if merged is None else merged.merge(metrics)
-        outcomes.append(("ok", RunResult.from_run(run, include_metrics=False)))
+        outcomes[k] = (
+            "ok", RunResult.from_run(run, include_metrics=False), seconds,
+        )
     metrics_z = compress_snapshot(merged) if merged is not None else None
     return outcomes, metrics_z

@@ -36,11 +36,18 @@ class TestChunksize:
         assert ex._effective_chunksize(64) == 4
         assert ex._effective_chunksize(336) == 8
 
-    def test_retry_and_faults_disable_batching(self):
+    def test_only_a_deadline_disables_batching(self):
+        # Attempts are accounted per spec inside a task, so retries
+        # batch; a per-attempt deadline can only be enforced on a whole
+        # task, so it forces one spec per task.
         retrying = SweepExecutor(
             jobs=4, retry=RetryPolicy(max_retries=2), chunksize=8
         )
-        assert retrying._effective_chunksize(336) == 1
+        assert retrying._effective_chunksize(336) == 8
+        deadlined = SweepExecutor(
+            jobs=4, retry=RetryPolicy(max_retries=2, timeout=1.0), chunksize=8
+        )
+        assert deadlined._effective_chunksize(336) == 1
 
     def test_chunked_results_match_serial(self):
         specs = _specs(12)

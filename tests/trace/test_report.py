@@ -84,6 +84,25 @@ class TestCli:
         out = capsys.readouterr().out
         assert "fig5" in out
 
+    @pytest.mark.parametrize(
+        "rest",
+        [
+            ["--app", "mm", "--app", "nn", "fig9"],
+            ["--full", "--plot", "fig9"],
+            ["--jobs", "0", "--full"],
+        ],
+    )
+    def test_experiments_argv_forwarded_verbatim(self, monkeypatch, rest):
+        from repro.__main__ import main
+
+        received = []
+        monkeypatch.setattr(
+            "repro.experiments.__main__.main",
+            lambda argv: received.append(argv) or 0,
+        )
+        assert main(["experiments", *rest]) == 0
+        assert received == [rest]
+
 
 class TestSecondDeviceGeneration:
     def test_7120_recommended_set_is_divisors_of_60(self):
