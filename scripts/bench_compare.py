@@ -15,9 +15,9 @@ Suites (``--suite``):
   ``BENCH_model.json`` (sim vs model vs hybrid over the fig9-mm full
   grid; the committed baseline records the hybrid speedup);
 * ``grid`` — ``benchmarks/bench_grid.py`` against ``BENCH_grid.json``
-  (vectorized grid path vs per-point hybrid on the fig9-mm full grid;
-  the committed baseline records the grid speedup and the exact-zero
-  worst relative error vs the scalar predictor);
+  (warm and cold hybrid sweeps and the pure grid evaluation of the
+  fig9-mm full grid; the bench checks the grid's answers against the
+  pinned model answers);
 * ``calibration`` — ``benchmarks/bench_calibration.py`` against
   ``BENCH_calibration.json`` (cold vs store-warm hybrid certification
   on the fig9-mm full grid; the committed baseline records the

@@ -13,16 +13,15 @@ The public surface (see ``docs/API.md``):
   ``learned`` answers from a corpus-trained ridge behind an
   uncertainty gate, see :mod:`repro.engine.learned` and
   ``docs/LEARNED.md``);
-* :func:`~repro.engine.profiles.predict_run` — one-spec analytic
-  evaluation, raising :class:`~repro.errors.ModelUnsupportedError`
-  outside the fast path;
 * :func:`~repro.engine.grid.predict_grid` /
   :func:`~repro.engine.grid.predict_runs` /
-  :class:`~repro.engine.grid.GridPlan` — batch evaluation: a whole
-  (P, T, D) sweep lowered to per-family array evaluations, element-wise
-  identical to the scalar predictor;
+  :class:`~repro.engine.grid.GridPlan` — the analytic model: a whole
+  (P, T, D) sweep lowered to per-family array evaluations, raising
+  :class:`~repro.errors.ModelUnsupportedError` outside the fast path;
+* :func:`~repro.engine.profiles.predict_run` — the same evaluator at
+  one spec;
 * :mod:`repro.engine.analytic` — the vectorized cost-model replicas the
-  scalar replay and the grid path are built from.
+  grid path is built from.
 """
 
 from repro.engine.engines import (

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.engine.store import FamilyVerdict, family_store_key, resolve_store
-from repro.errors import ConfigurationError, ModelUnsupportedError
+from repro.errors import ConfigurationError
 from repro.metrics.registry import get_registry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -97,31 +97,16 @@ def _notify_all(executor, specs) -> None:
 class ModelEngine:
     """Evaluate every spec analytically; refuse anything unsupported.
 
-    ``vectorize=True`` (default) routes the batch through the grid path
-    (:mod:`repro.engine.grid`): homogeneous families are lowered once
-    and evaluated as arrays, heterogeneous leftovers fall back to the
-    scalar predictor — element-wise identical results either way.
+    The batch goes through the grid path (:mod:`repro.engine.grid`):
+    each family is lowered once and evaluated point by point.
     """
 
     name = "model"
 
-    def __init__(self, vectorize: bool = True, store=None) -> None:
-        self.vectorize = vectorize
-        #: Accepted for knob-uniformity with :class:`HybridEngine`
-        #: (``resolve_engine(..., store=...)``, ``--engine-store``).
-        #: The strict model engine never certifies, so it records and
-        #: consults nothing.
-        self.store = resolve_store(store)
-
     def map(self, executor: "SweepExecutor", specs: list) -> list:
-        if self.vectorize:
-            from repro.engine.grid import predict_runs
+        from repro.engine.grid import predict_runs
 
-            results = predict_runs(specs)
-        else:
-            from repro.engine.profiles import predict_run
-
-            results = [predict_run(spec) for spec in specs]
+        results = predict_runs(specs)
         _notify_all(executor, specs)
         if results:
             get_registry().counter("engine.points", backend="model").inc(
@@ -158,7 +143,6 @@ class HybridEngine:
         self,
         tolerance: float = DEFAULT_TOLERANCE,
         calibration_points: int = DEFAULT_CALIBRATION_POINTS,
-        vectorize: bool = True,
         store=None,
     ) -> None:
         if tolerance <= 0:
@@ -171,10 +155,6 @@ class HybridEngine:
             )
         self.tolerance = tolerance
         self.calibration_points = calibration_points
-        #: Predict via the grid path (one array evaluation per family)
-        #: instead of per-point ``predict_run`` — same certification,
-        #: same results, bit for bit.
-        self.vectorize = vectorize
         #: Persistent certified-family store (path or
         #: :class:`~repro.engine.store.EngineStore`), or None.
         self.store = resolve_store(store)
@@ -195,7 +175,7 @@ class HybridEngine:
         )
 
     def map(self, executor: "SweepExecutor", specs: list) -> list:
-        from repro.engine.profiles import predict_run
+        from repro.engine.grid import GridPlan
 
         registry = get_registry()
         n = len(specs)
@@ -203,40 +183,23 @@ class HybridEngine:
         for i, spec in enumerate(specs):
             families.setdefault(_family_key(spec), []).append(i)
 
-        # Whole-grid prediction up front: one array evaluation answers
-        # every vectorizable point before any pool dispatch; only the
-        # points the model refuses (None) ride the simulator.
-        grid_preds = None
-        if self.vectorize:
-            from repro.engine.grid import GridPlan
-
-            grid_preds = GridPlan.build(specs).predict_runs(strict=False)
+        # Whole-grid prediction up front: the model answers every point
+        # it can before any pool dispatch; only the points it refuses
+        # (None) ride the simulator.
+        grid_preds = GridPlan.build(specs).predict_runs(strict=False)
 
         predictions: dict[int, object] = {}
         calibration: dict[tuple, list[int]] = {}
         sim_indices: list[int] = []
         for key, members in families.items():
-            if grid_preds is not None:
-                if any(grid_preds[i] is None for i in members):
-                    # The whole family rides the simulator (same rule
-                    # as the scalar loop: one refused member drops its
-                    # family).
-                    sim_indices.extend(members)
-                    registry.counter("engine.families_fallback").inc()
-                    continue
-                for i in members:
-                    predictions[i] = grid_preds[i]
-            else:
-                try:
-                    for i in members:
-                        predictions[i] = predict_run(specs[i])
-                except ModelUnsupportedError:
-                    # The whole family rides the simulator.
-                    for i in members:
-                        predictions.pop(i, None)
-                    sim_indices.extend(members)
-                    registry.counter("engine.families_fallback").inc()
-                    continue
+            if any(grid_preds[i] is None for i in members):
+                # One refused member drops its whole family to the
+                # simulator.
+                sim_indices.extend(members)
+                registry.counter("engine.families_fallback").inc()
+                continue
+            for i in members:
+                predictions[i] = grid_preds[i]
             k = min(self.calibration_points, len(members))
             picks = np.unique(
                 np.linspace(0, len(members) - 1, k).round().astype(int)
@@ -360,7 +323,7 @@ class HybridEngine:
             registry.counter("engine.points", backend="model").inc(n - n_sim)
             registry.counter("engine.points", backend="sim").inc(n_sim)
             registry.gauge("engine.fallback_rate").set(n_sim / n)
-            if grid_preds is not None and n_sim:
+            if n_sim:
                 registry.counter("engine.grid.points", route="sim").inc(
                     n_sim
                 )
@@ -376,15 +339,16 @@ def resolve_engine(engine, store=None):
     ``"sim"`` resolves to ``None``: the executor's native path.
 
     ``store`` (a path or :class:`~repro.engine.store.EngineStore`) is
-    threaded into name-built engines; an engine *instance* keeps its
-    own store unless it has none, in which case the resolved one is
-    attached.
+    threaded into the name-built engines that certify (``hybrid`` and
+    ``learned``; the strict model engine certifies nothing); an engine
+    *instance* with a ``store`` attribute keeps its own store unless it
+    has none, in which case the resolved one is attached.
     """
     if engine is None or engine == "sim":
         return None
     store = resolve_store(store)
     if engine == "model":
-        return ModelEngine(store=store)
+        return ModelEngine()
     if engine == "hybrid":
         return HybridEngine(store=store)
     if engine == "learned":
@@ -392,7 +356,9 @@ def resolve_engine(engine, store=None):
 
         return LearnedEngine(store=store)
     if hasattr(engine, "map") and hasattr(engine, "name"):
-        if store is not None and getattr(engine, "store", None) is None:
+        if store is not None and hasattr(engine, "store") and (
+            engine.store is None
+        ):
             engine.store = store
         return engine
     raise ConfigurationError(

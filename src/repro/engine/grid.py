@@ -1,56 +1,49 @@
-"""Vectorized grid evaluation of the analytic model.
+"""The analytic model's evaluator: lowered families, evaluated per point.
 
 A figure sweep, a Sec. V-C pruning study or an ML-tuner training pass
 evaluates a *dense grid* of :class:`~repro.parallel.runspec.RunSpec`\\ s
 that differ only in their run geometry (P) or dataset/tile arguments
-(T, D).  The scalar path (:func:`repro.engine.profiles.predict_run`)
-replays the whole enqueue schedule through a
-:class:`~repro.engine.analytic.StreamReplay` event loop for every
-single point, even though the schedule's *topology* (which uploads are
+(T, D).  On one device the schedule's *topology* (which uploads are
 deduplicated, which kernel depends on which transfer, how many actions
-each phase settles) is identical across the grid for a single-device
-family and only the stream assignment (``tile % S``) and the
-per-stream costs vary.
-
-This module lowers a family once and evaluates each point with a flat
-loop over precompiled arrays:
+each phase settles) is identical across the partition axis; only the
+stream assignment (``tile % S``) and the per-stream costs vary.  So the
+model lowers a family once and evaluates each point with a flat loop
+over precompiled arrays; :func:`~repro.engine.profiles.predict_run` is
+this same evaluator at one point.
 
 * the family's schedule is its workload port
   (:func:`repro.workload.ports.workload_of`; a
-  :class:`~repro.workload.app.WorkloadApp` is its own port), built once
-  per family and held in the family cache, where
-  :func:`~repro.engine.profiles.predict_run` reads it too;
-* :class:`_FamilyBuilder` — a *symbolic* ``StreamReplay``:
-  :func:`~repro.workload.compile.lower_workload` records the port into
-  it with a stream *chain id* (the op's tile, reduced mod
-  ``num_streams`` per point) instead of a concrete stream and a kernel
-  *cost class* instead of a concrete cost, so one recording serves every
-  partition count; repeated phases that qualify close in one step (the
-  closed-repeat rule of :mod:`repro.workload.compile`);
-* :func:`_eval_phase` — the exact flat equivalent of
-  ``StreamReplay._settle`` for the families the grid path accepts
-  (single device, no first-invocation upload): kernels and markers
-  complete eagerly the moment their last predecessor settles, and only
-  transfer-lane contention is treated chronologically, with a heap of
-  lane requests keyed ``(request time, activation time, issue index)``
-  and a busy-lane FIFO queue keyed ``(request time, issue index)`` —
-  the same grant discipline as the DES's capacity-1 link resource;
+  :class:`~repro.workload.app.WorkloadApp` is its own port);
+* :class:`_FamilyBuilder` — :func:`~repro.workload.compile.lower_workload`
+  records the port into it with a stream *chain id* (the op's tile,
+  reduced mod ``num_streams`` per point) instead of a concrete stream
+  and a kernel *cost class* instead of a concrete cost, so one
+  recording serves every partition count; repeated phases that qualify
+  close in one step (the closed-repeat rule of
+  :mod:`repro.workload.compile`).  A multi-device port depends on P
+  (uploads dedup per device under the device-major place layout), so a
+  multi-device family is lowered once per (family, P) instead;
+* :func:`_eval_phase` — settles one phase between two global syncs: an
+  action waits for its stream predecessor (FIFO) and its explicit deps,
+  pays the cross-device sync when a dep ran on another card, pays the
+  dispatch overhead, then occupies its device's link lane (transfers)
+  or its partition (kernels, uncontended at one stream per place; the
+  first invocation of a kernel name on a card pays the device spec's
+  ``first_invoke_extra``).  Each card's lane is granted in request-time
+  order, the same discipline as the DES's capacity-1 link resource;
 * per-``(family, P)`` point schedules (stream maps, FIFO successor
   arrays, per-action costs from one vectorized
-  :func:`~repro.engine.analytic.invoke_cost` table) cached so a
+  :func:`~repro.engine.analytic.invoke_cost` table) are cached, so a
   steady-state re-sweep pays only the flat loop;
 * :class:`GridPlan` / :func:`predict_grid` — the public batch surface:
-  group a heterogeneous batch into vectorizable families and scalar
-  leftovers, and evaluate the whole grid.
+  group a heterogeneous batch into families and evaluate the whole grid.
 
-The accuracy contract is *exact float equality* with
-:func:`~repro.engine.profiles.predict_run` (property-tested across all
-six app profiles and generated workloads): any configuration the
-lowering cannot reproduce bit-for-bit — multiple devices (MatMul's and
-Cholesky's ports then depend on P), a device spec with a
-first-invocation upload cost, an app without a port — is routed to the
-scalar predictor instead, never approximated.  Metrics land under
-``engine.grid.*`` (see ``docs/OBSERVABILITY.md``).
+A point the lowering cannot reproduce — an app without a port, a
+real-data run, ``streams_per_place != 1``, ``keep_timeline``, a noisy
+or full-duplex device spec, or a port whose buffers overflow a card's
+memory — raises :class:`~repro.errors.ModelUnsupportedError` on every
+path, never an approximation.  Metrics land under ``engine.grid.*``
+(see ``docs/OBSERVABILITY.md``).
 """
 
 from __future__ import annotations
@@ -77,12 +70,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["GridPlan", "GridFamily", "predict_grid", "predict_runs"]
 
 
-class _GridUnsupported(Exception):
-    """The family cannot be lowered bit-exactly; use the scalar path."""
-
-
-#: Action kinds (match repro.engine.analytic).
-_MARKER, _TRANSFER, _KERNEL = 0, 1, 2
+#: Action kinds.  A point may mark a kernel ``_KERNEL_FIRST`` (its
+#: first invocation per card costs extra) and add ``_CROSS`` to any
+#: kind whose explicit deps ran on another card.
+_MARKER, _TRANSFER, _KERNEL, _KERNEL_FIRST = 0, 1, 2, 3
+_CROSS = 4
 
 #: Evaluation steps of a compiled family.
 _ST_SETTLE, _ST_SYNC, _ST_CLOSED = 0, 1, 2
@@ -110,34 +102,43 @@ class _PointPhase:
     flat loop indexes without numpy overhead."""
 
     __slots__ = (
-        "stream_of", "next_k", "cost", "remaining0", "init_todo", "pdone0"
+        "kind", "stream_of", "device_of", "next_k", "cost", "remaining0",
+        "init_todo", "pdone0", "first_key",
     )
 
-    def __init__(self, stream_of, next_k, cost, remaining0, init_todo, n):
+    def __init__(
+        self, kind, stream_of, device_of, next_k, cost, remaining0,
+        init_todo, n, first_key,
+    ):
+        self.kind = kind
         self.stream_of = stream_of
+        self.device_of = device_of
         self.next_k = next_k
         self.cost = cost
         self.remaining0 = remaining0
         self.init_todo = init_todo
         self.pdone0 = [-1.0] * n
+        self.first_key = first_key
 
 
 class _PointData:
-    """Everything per-(family, P): phase schedules, the closed steps'
-    per-repetition chain maxima, and the memoized evaluation (the model
-    is deterministic, so one flat-loop pass per point ever)."""
+    """Everything per-(family, P): the lowering it evaluates, phase
+    schedules, the closed steps' per-repetition chain maxima, and the
+    memoized evaluation (the model is deterministic, so one flat-loop
+    pass per point ever)."""
 
-    __slots__ = ("S", "phases", "chain_maxes", "elapsed")
+    __slots__ = ("S", "low", "phases", "chain_maxes", "elapsed")
 
-    def __init__(self, S, phases, chain_maxes):
+    def __init__(self, S, low, phases, chain_maxes):
         self.S = S
+        self.low = low
         self.phases = phases
         self.chain_maxes = chain_maxes
         self.elapsed = None
 
 
 class _FamilyBuilder:
-    """Symbolic :class:`~repro.engine.analytic.StreamReplay`.
+    """The lowered schedule of one family (see the module docstring).
 
     :func:`~repro.workload.compile.lower_workload` records a workload
     into it phase by phase: each op with a *chain id* (its tile, whose
@@ -149,6 +150,7 @@ class _FamilyBuilder:
     """
 
     def __init__(self, spec):
+        self.spec = spec
         self._bw = spec.link.bandwidth
         self.classes: list = []
         self.phases: list[_Phase] = []
@@ -237,35 +239,45 @@ class _FamilyBuilder:
 _EV_START, _EV_RELEASE, _EV_DONE = 0, 1, 2
 
 
-def _eval_phase(phase, pt, tails, floor, lane_free, dispatch, lat):
-    """Settle one compiled phase at one grid point; returns the updated
-    lane-free time (``tails`` is mutated in place).
+def _eval_phase(phase, pt, tails, floor, loaded, fam):
+    """Settle one compiled phase at one grid point.
 
-    Exact flat-loop mirror of ``StreamReplay._settle`` for the
-    single-device, zero-first-invoke families the grid path lowers —
-    the same ``(time, seq)``-ordered event loop, with the compiled
-    arrays in place of action tuples.  The full chronology matters,
-    not just the transfer lane's: when two lane requests carry the
-    *same* request time, the DES grants them in activation order,
-    which is the processing order of their predecessors' completion
-    events — so completions cannot be settled eagerly (out of event
-    order) without sometimes flipping a lane-grant tie and shifting
-    every later action on the losing stream.  Completion order is
-    mirrored exactly: dependents activate in ascending issue index
-    within one completion (``_settle`` builds its dependent lists that
-    way), and each activation takes the next global ``seq``.
+    ``tails`` (per stream) and ``loaded`` (the ``(card, kernel name)``
+    pairs that have run, or ``None`` when a first invocation costs
+    nothing extra) carry over between phases and are updated in place.
+
+    The loop is a ``(time, seq)``-ordered event heap.  Every push lands
+    at or after the time being processed, so an idle lane was released
+    no later than the request now popped, and a grant starts at the
+    request time (or, for a queued request, at the release).
+
+    The full chronology matters, not just the transfer lanes': when two
+    lane requests carry the *same* request time, the DES grants them in
+    activation order, which is the processing order of their
+    predecessors' completion events — so completions cannot be settled
+    eagerly (out of event order) without sometimes flipping a
+    lane-grant tie and shifting every later action on the losing
+    stream.  Within one completion, dependents activate in ascending
+    issue index, and each activation takes the next global ``seq``.
     """
-    kinds = phase.kind
+    kinds = pt.kind
     outs = phase.outs
     laneq = phase.lane_q
     stream_of = pt.stream_of
+    device_of = pt.device_of
     nxt = pt.next_k
     cost = pt.cost
+    first_key = pt.first_key
+    dispatch = fam.dispatch
+    lat = fam.lat
+    cross_sync = fam.cross_sync
+    first_extra = fam.first_extra
     remaining = pt.remaining0[:]
     pdone = pt.pdone0[:]
     heap: list = []
-    lane_queue: list = []
-    lane_occupied = False
+    busy = [False] * fam.num_devices
+    #: Per card: ``(request time, action)`` waiting behind the occupant.
+    queues: list = [[] for _ in busy]
     seq = 0
     push = heappush
     pop = heappop
@@ -273,12 +285,23 @@ def _eval_phase(phase, pt, tails, floor, lane_free, dispatch, lat):
     def activate(k):
         nonlocal seq
         a = pdone[k]
-        ready = (a if a > floor else floor) + dispatch
         kd = kinds[k]
+        if kd >= 4:  # _CROSS: the cross-device sync precedes dispatch
+            ready = ((a if a > floor else floor) + cross_sync) + dispatch
+            kd -= 4
+        else:
+            ready = (a if a > floor else floor) + dispatch
         if kd == 1:  # transfer: request the lane
             push(heap, (ready, seq, _EV_START, k))
         elif kd == 2:  # kernel
             push(heap, (ready + cost[k], seq, _EV_DONE, k))
+        elif kd == 3:  # kernel, first invocation tracked
+            c = cost[k]
+            key = first_key[k]
+            if key not in loaded:
+                loaded.add(key)
+                c += first_extra
+            push(heap, (ready + c, seq, _EV_DONE, k))
         else:  # marker
             push(heap, (ready, seq, _EV_DONE, k))
         seq += 1
@@ -289,13 +312,12 @@ def _eval_phase(phase, pt, tails, floor, lane_free, dispatch, lat):
     while heap:
         time, _, ev, k = pop(heap)
         if ev == _EV_START:
-            if lane_occupied:
-                push(lane_queue, (time, k))
+            dev = device_of[k]
+            if busy[dev]:
+                push(queues[dev], (time, k))
             else:
-                start = time if time > lane_free else lane_free
-                lane_free = (start + lat) + laneq[k]
-                lane_occupied = True
-                push(heap, (lane_free, seq, _EV_RELEASE, k))
+                busy[dev] = True
+                push(heap, ((time + lat) + laneq[k], seq, _EV_RELEASE, k))
                 seq += 1
             continue
         # _EV_RELEASE or _EV_DONE: k completes at `time`.
@@ -308,7 +330,7 @@ def _eval_phase(phase, pt, tails, floor, lane_free, dispatch, lat):
         elif outs[k]:
             # Merge the FIFO successor into the explicit dependents in
             # ascending issue order (duplicates kept: an explicit dep
-            # on the FIFO predecessor counts twice, as in ``_settle``).
+            # on the FIFO predecessor counts twice).
             dependents = sorted((d1, *outs[k]))
         else:
             dependents = (d1,)
@@ -320,14 +342,17 @@ def _eval_phase(phase, pt, tails, floor, lane_free, dispatch, lat):
             if not r:
                 activate(d)
         if ev == _EV_RELEASE:
-            lane_occupied = False
-            if lane_queue:
-                waiter = pop(lane_queue)[1]
-                lane_free = (time + lat) + laneq[waiter]
-                lane_occupied = True
-                push(heap, (lane_free, seq, _EV_RELEASE, waiter))
+            dev = device_of[k]
+            queue = queues[dev]
+            if queue:
+                waiter = pop(queue)[1]
+                push(
+                    heap,
+                    ((time + lat) + laneq[waiter], seq, _EV_RELEASE, waiter),
+                )
                 seq += 1
-    return lane_free
+            else:
+                busy[dev] = False
 
 
 #: Bound on cached per-P point schedules per family.
@@ -335,27 +360,36 @@ _POINT_CAP = 128
 
 
 class _CompiledFamily:
-    """One family's workload port and, once :func:`_compile_family` has
-    lowered it, the lowered schedule plus its per-P point-schedule
-    cache."""
+    """One family: the device spec's constants, the lowered schedule
+    (single-device families; a multi-device family lowers per P), and
+    the per-P point-schedule cache."""
 
-    def __init__(self, app, workload):
+    def __init__(self, app, num_devices: int):
         self.app = app
-        self.workload = workload
+        self.num_devices = num_devices
         self.spec = spec = app.spec
         over = spec.overheads
         self.dispatch = over.dispatch
         self.spp = over.sync_per_stream
+        self.cross_sync = over.cross_device_sync
+        self.first_extra = over.first_invoke_extra
         self.lat = spec.link.latency
-        self.phases: list[_Phase] = []
-        self.steps: list[tuple] = []
-        self.classes: list = []
-        self.chains: list = []
+        #: The P-independent lowering, or None when it depends on P.
+        self.low: "_FamilyBuilder | None" = None
         # AppRun fields shared by every point of the family.
         self.app_name = app.name
         self.app_tiles = app.tiles
         self.app_flops = app.total_flops()
         self._points: OrderedDict[int, _PointData] = OrderedDict()
+
+    def lower(self, workload, device=None) -> _FamilyBuilder:
+        """Record ``workload`` (``device``: each stream's card, for a
+        per-P multi-device lowering)."""
+        from repro.workload.compile import lower_workload
+
+        bld = _FamilyBuilder(self.spec)
+        lower_workload(workload, bld, device)
+        return bld
 
     # -- per-P specialization ----------------------------------------------
 
@@ -371,15 +405,24 @@ class _CompiledFamily:
         return pt
 
     def _build_point(self, places: int) -> _PointData:
-        geom = stream_geometry(places, 1, self.spec)
+        geom = stream_geometry(places, self.num_devices, self.spec)
         S = geom.num_streams
-        rows = [invoke_cost(w, geom, self.spec) for w in self.classes]
+        low = self.low
+        multi = low is None
+        if multi:
+            device = geom.device.tolist()
+            low = self.lower(
+                _model_port(self.app, places, self.num_devices), device
+            )
+        first = self.first_extra > 0.0
+        names = [w.name for w in low.classes]
+        rows = [invoke_cost(w, geom, self.spec) for w in low.classes]
         ctable = (
             np.vstack(rows) if rows else np.zeros((0, S), dtype=np.float64)
         )
         padded = np.vstack([np.zeros((1, S), dtype=np.float64), ctable])
         phases = []
-        for ph in self.phases:
+        for ph in low.phases:
             stream = ph.chain % S
             order = np.argsort(stream, kind="stable")
             sorted_streams = stream[order]
@@ -391,18 +434,41 @@ class _CompiledFamily:
             remaining = ph.ndeps + has_pred
             init = np.flatnonzero(remaining == 0)
             cost = padded[ph.klass + 1, stream]
+            kind, device_of, first_key = ph.kind, [0] * ph.n, None
+            if multi or first:
+                kind = np.asarray(ph.kind)
+                dev = geom.device[stream]
+                device_of = dev.tolist()
+                if first:
+                    kind[kind == _KERNEL] = _KERNEL_FIRST
+                    first_key = [
+                        (d, names[c]) if c >= 0 else None
+                        for d, c in zip(device_of, ph.klass.tolist())
+                    ]
+                if multi:
+                    src = [p for p, ks in enumerate(ph.outs) for _ in ks]
+                    dst = [k for ks in ph.outs for k in ks]
+                    if dst:
+                        src = np.asarray(src, dtype=np.int64)
+                        dst = np.asarray(dst, dtype=np.int64)
+                        crossed = np.unique(dst[dev[src] != dev[dst]])
+                        kind[crossed] += _CROSS
+                kind = kind.tolist()
             phases.append(
                 _PointPhase(
+                    kind,
                     stream.tolist(),
+                    device_of,
                     nxt.tolist(),
                     cost.tolist(),
                     remaining.tolist(),
                     init.tolist(),
                     ph.n,
+                    first_key,
                 )
             )
         chain_maxes = []
-        for klass, chain in self.chains:
+        for klass, chain in low.chains:
             s_of_t = chain % S
             cost_t = ctable[klass, s_of_t]
             chain_maxes.append(
@@ -414,29 +480,26 @@ class _CompiledFamily:
                     ).max()
                 )
             )
-        return _PointData(S, phases, chain_maxes)
+        return _PointData(S, low, phases, chain_maxes)
 
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, places: int) -> float:
-        """Predicted elapsed seconds at one partition count — exactly
-        the scalar predictor's arithmetic."""
+        """Predicted elapsed seconds at one partition count."""
         pt = self._point(places)
         if pt.elapsed is not None:
             return pt.elapsed
         S = pt.S
         tails = [0.0] * S
         floor = 0.0
-        lane_free = 0.0
+        loaded = set() if self.first_extra > 0.0 else None
         t = 0.0
-        dispatch = self.dispatch
-        lat = self.lat
         spp = self.spp
-        for op, arg in self.steps:
+        phases = pt.low.phases
+        for op, arg in pt.low.steps:
             if op == _ST_SETTLE:
-                lane_free = _eval_phase(
-                    self.phases[arg], pt.phases[arg],
-                    tails, floor, lane_free, dispatch, lat,
+                _eval_phase(
+                    phases[arg], pt.phases[arg], tails, floor, loaded, self
                 )
             elif op == _ST_SYNC:
                 t = max(tails)
@@ -466,8 +529,11 @@ class _CompiledFamily:
 
 # -- family compilation (module-level cache) ----------------------------------
 
-#: family key -> _CompiledFamily (array route) or None (scalar route).
-_FAMILIES: "OrderedDict[tuple, _CompiledFamily | None]" = OrderedDict()
+#: family key -> _CompiledFamily, or the ModelUnsupportedError that
+#: refused it.
+_FAMILIES: "OrderedDict[tuple, _CompiledFamily | ModelUnsupportedError]" = (
+    OrderedDict()
+)
 _FAMILY_CAP = 64
 
 
@@ -491,85 +557,63 @@ def _family_key(spec: "RunSpec") -> tuple:
 
 
 def _model_port(app, places: int = 1, num_devices: int = 1):
-    """The workload the analytic model replays for ``app`` (its port),
-    or :class:`ModelUnsupportedError` for runs it cannot reproduce."""
+    """The workload the analytic model evaluates for ``app`` (its
+    port), or :class:`ModelUnsupportedError` for runs it cannot
+    reproduce."""
     from repro.workload.ports import workload_of
 
     try:
-        workload = workload_of(app, places, num_devices)
+        return workload_of(app, places, num_devices)
     except ConfigurationError as exc:
         raise ModelUnsupportedError(str(exc)) from exc
-    if app.materialize:
-        raise ModelUnsupportedError(
-            "real-data runs (materialize=True) need the simulator"
-        )
-    return workload
 
 
 def _compile_family(spec0: "RunSpec") -> _CompiledFamily:
-    """Lower one family's port, or raise (``_GridUnsupported`` /
-    :class:`ModelUnsupportedError`) to route it to the scalar path."""
-    from repro.workload.compile import lower_workload
-
+    """Lower one family's port, or raise :class:`ModelUnsupportedError`."""
     if spec0.streams_per_place != 1:
-        raise _GridUnsupported("streams_per_place != 1")
-    if spec0.keep_timeline:
-        raise _GridUnsupported("keep_timeline")
-    if spec0.num_devices != 1:
-        # MatMul's and Cholesky's ports dedup uploads per device, and
-        # the device-major layout makes that P-dependent; the scalar
-        # replay builds the port per point.
-        raise _GridUnsupported("multi-device ports are P-dependent")
-    app = spec0.build_app()
-    fam = _CompiledFamily(app, _model_port(app))
-    check_supported(app.spec)
-    if app.spec.overheads.first_invoke_extra > 0.0:
-        # First-invocation uploads depend on kernel-name arrival order,
-        # which the eager evaluator does not track.
-        raise _GridUnsupported("first_invoke_extra > 0")
-    bld = _FamilyBuilder(app.spec)
-    lower_workload(fam.workload, bld)
-    fam.phases = bld.phases
-    fam.steps = bld.steps
-    fam.classes = bld.classes
-    fam.chains = bld.chains
-    return fam
-
-
-def _compiled_for(spec0: "RunSpec") -> "_CompiledFamily | None":
-    """Cached compile: a ``None`` entry memoizes the scalar routing
-    decision."""
-    try:
-        key = _family_key(spec0)
-        cached = key in _FAMILIES
-    except TypeError:  # unhashable ctor argument: never vectorize
-        return None
-    if cached:
-        _FAMILIES.move_to_end(key)
-        return _FAMILIES[key]
-    try:
-        compiled = _compile_family(spec0)
-    except (_GridUnsupported, ModelUnsupportedError):
-        compiled = None
-    _FAMILIES[key] = compiled
-    while len(_FAMILIES) > _FAMILY_CAP:
-        _FAMILIES.popitem(last=False)
-    return compiled
-
-
-def port_family(spec: "RunSpec") -> _CompiledFamily:
-    """``spec``'s family and its workload port, for the scalar replay:
-    the cached compiled family when the grid lowers it (so a family's
-    port is built once), else a fresh unlowered one (multi-device ports
-    depend on P).  Raises :class:`ModelUnsupportedError` when the app
-    has no port the model can replay."""
-    fam = _compiled_for(spec)
-    if fam is None:
-        app = spec.build_app()
-        fam = _CompiledFamily(
-            app, _model_port(app, spec.places, spec.num_devices)
+        raise ModelUnsupportedError(
+            "analytic engine requires one stream per place "
+            f"(streams_per_place={spec0.streams_per_place})"
         )
+    if spec0.keep_timeline:
+        raise ModelUnsupportedError(
+            "analytic engine produces no event trace (keep_timeline=True)"
+        )
+    app = spec0.build_app()
+    # A multi-device port depends on P: it is built per point.
+    port = _model_port(app) if spec0.num_devices == 1 else None
+    if getattr(app, "materialize", False):
+        raise ModelUnsupportedError(
+            "real-data runs (materialize=True) need the simulator"
+        )
+    check_supported(app.spec)
+    fam = _CompiledFamily(app, spec0.num_devices)
+    if port is not None:
+        fam.low = fam.lower(port)
     return fam
+
+
+def _compiled_for(spec: "RunSpec") -> _CompiledFamily:
+    """``spec``'s compiled family (cached), or the family's
+    :class:`ModelUnsupportedError` (cached too)."""
+    try:
+        key = _family_key(spec)
+        found = _FAMILIES.get(key)
+    except TypeError:  # unhashable ctor argument: compile uncached
+        return _compile_family(spec)
+    if found is None:
+        try:
+            found = _compile_family(spec)
+        except ModelUnsupportedError as exc:
+            found = exc
+        _FAMILIES[key] = found
+        while len(_FAMILIES) > _FAMILY_CAP:
+            _FAMILIES.popitem(last=False)
+    else:
+        _FAMILIES.move_to_end(key)
+    if isinstance(found, ModelUnsupportedError):
+        raise ModelUnsupportedError(str(found))
+    return found
 
 
 # -- public surface -----------------------------------------------------------
@@ -577,8 +621,8 @@ def port_family(spec: "RunSpec") -> _CompiledFamily:
 
 class GridFamily:
     """One homogeneous slice of a batch: the spec indices it covers and
-    the route (``"array"`` for the vectorized path, ``"scalar"`` for
-    per-point :func:`predict_run` leftovers)."""
+    the route (``"array"`` when the family lowered, ``"refused"`` when
+    the model cannot answer it)."""
 
     __slots__ = ("indices", "route", "compiled")
 
@@ -592,8 +636,8 @@ class GridFamily:
 
 
 class GridPlan:
-    """A heterogeneous batch grouped into vectorizable families and
-    scalar leftovers (see the module docstring).
+    """A heterogeneous batch grouped into families (see the module
+    docstring).
 
     Build once per batch with :meth:`build`; evaluate with
     :meth:`predict_runs` (AppRun envelopes, exactly
@@ -619,11 +663,10 @@ class GridPlan:
             except TypeError:
                 key, fam = None, None
             if fam is None:
-                compiled = _compiled_for(spec)
-                fam = GridFamily(
-                    [], "array" if compiled is not None else "scalar",
-                    compiled,
-                )
+                try:
+                    fam = GridFamily([], "array", _compiled_for(spec))
+                except ModelUnsupportedError:
+                    fam = GridFamily([], "refused")
                 families.append(fam)
                 if key is not None:
                     by_key[key] = fam
@@ -632,7 +675,7 @@ class GridPlan:
 
     @property
     def vectorized_points(self) -> int:
-        """Points answered by the array path."""
+        """Points in families the model lowered."""
         return sum(
             len(f.indices) for f in self.families if f.route == "array"
         )
@@ -640,57 +683,47 @@ class GridPlan:
     def predict_runs(self, strict: bool = True) -> list:
         """One :class:`AppRun` per spec (submission order).
 
-        ``strict=True`` raises :class:`ModelUnsupportedError` exactly
-        where a scalar ``[predict_run(s) for s in specs]`` loop would;
-        ``strict=False`` leaves ``None`` at unsupported points.
+        ``strict=True`` raises :class:`ModelUnsupportedError` at the
+        first point the model refuses; ``strict=False`` leaves ``None``
+        there.
         """
-        from repro.engine.profiles import predict_run
-
         results: list = [None] * len(self.specs)
-        n_array = n_scalar = fam_array = fam_scalar = 0
+        n_points = fam_array = fam_refused = 0
         eval_seconds = 0.0
         for fam in self.families:
-            if fam.route == "array":
-                compiled = fam.compiled
-                t0 = perf_counter()
-                for i in fam.indices:
-                    spec = self.specs[i]
-                    results[i] = compiled.wrap(
-                        spec.places, compiled.evaluate(spec.places)
-                    )
-                eval_seconds += perf_counter() - t0
-                n_array += len(fam.indices)
-                fam_array += 1
-            else:
-                for i in fam.indices:
+            compiled = fam.compiled
+            if compiled is None:
+                fam_refused += 1
+                if strict:  # re-raise the family's cached refusal
+                    _compiled_for(self.specs[fam.indices[0]])
+                continue
+            fam_array += 1
+            t0 = perf_counter()
+            for i in fam.indices:
+                places = self.specs[i].places
+                try:
+                    elapsed = compiled.evaluate(places)
+                except ModelUnsupportedError:
                     if strict:
-                        results[i] = predict_run(self.specs[i])
-                    else:
-                        try:
-                            results[i] = predict_run(self.specs[i])
-                        except ModelUnsupportedError:
-                            results[i] = None
-                    if results[i] is not None:
-                        n_scalar += 1
-                fam_scalar += 1
+                        raise
+                    continue
+                results[i] = compiled.wrap(places, elapsed)
+                n_points += 1
+            eval_seconds += perf_counter() - t0
         if self.specs:
             registry = get_registry()
             if fam_array:
                 registry.counter(
                     "engine.grid.families", route="array"
                 ).inc(fam_array)
-            if fam_scalar:
+            if fam_refused:
                 registry.counter(
-                    "engine.grid.families", route="scalar"
-                ).inc(fam_scalar)
-            if n_array:
+                    "engine.grid.families", route="refused"
+                ).inc(fam_refused)
+            if n_points:
                 registry.counter(
                     "engine.grid.points", route="array"
-                ).inc(n_array)
-            if n_scalar:
-                registry.counter(
-                    "engine.grid.points", route="scalar"
-                ).inc(n_scalar)
+                ).inc(n_points)
             registry.histogram("engine.grid.eval_seconds").observe(
                 eval_seconds
             )
@@ -706,13 +739,13 @@ class GridPlan:
 
 def predict_grid(specs) -> np.ndarray:
     """Evaluate a whole batch of specs analytically: elapsed seconds in
-    submission order, element-wise identical to scalar
+    submission order, element-wise identical to
     :func:`~repro.engine.profiles.predict_run` (raising
-    :class:`ModelUnsupportedError` exactly where it would)."""
+    :class:`ModelUnsupportedError` where it would)."""
     return GridPlan.build(specs).evaluate()
 
 
 def predict_runs(specs) -> list:
     """Batch :func:`~repro.engine.profiles.predict_run`: one
-    ``engine="model"`` :class:`AppRun` per spec, via the grid path."""
+    ``engine="model"`` :class:`AppRun` per spec."""
     return GridPlan.build(specs).predict_runs()

@@ -1,8 +1,8 @@
 """The learned engine tier (see ``docs/LEARNED.md``).
 
 Corpus-trained (P, T) makespan prediction with per-point uncertainty:
-:func:`build_corpus` labels generated scenarios through the vectorized
-grid path, :func:`train_model` fits a Bayesian ridge over
+:func:`build_corpus` labels generated scenarios through the analytic
+model's grid path, :func:`train_model` fits a Bayesian ridge over
 physics-informed features, and :class:`LearnedEngine` answers confident
 points with zero DES while routing the rest to hybrid certification.
 """

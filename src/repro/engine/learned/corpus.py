@@ -3,9 +3,9 @@
 A corpus is ``count`` generated scenarios
 (:class:`~repro.workload.generator.ScenarioGenerator`, so the set is a
 pure function of the seed) crossed with a partition-count axis, each
-point labeled with its analytic makespan through the vectorized grid
-path (:func:`repro.engine.grid.predict_runs` — one array evaluation per
-scenario family, bit-identical to the scalar predictor).  Labels are
+point labeled with its analytic makespan through the grid path
+(:func:`repro.engine.grid.predict_runs` — one lowering per scenario
+family, the model's only evaluator).  Labels are
 therefore *cheap* — building the default 48x9 corpus costs well under a
 second — and exact for the model surface the learned tier approximates;
 the DES enters later, through the uncertainty-gated fallback and the
@@ -195,9 +195,8 @@ def build_corpus(
 
     Deterministic end to end: the scenario set is a pure function of
     ``(seed, count, distributions)``, features are straight arithmetic,
-    and the grid-path labels are bit-identical to the scalar analytic
-    predictor — so the same arguments always produce the same
-    :meth:`Corpus.fingerprint`.
+    and the grid-path labels are deterministic model answers — so the
+    same arguments always produce the same :meth:`Corpus.fingerprint`.
     """
     from repro.engine.grid import predict_runs
     from repro.parallel.runspec import RunSpec

@@ -23,9 +23,7 @@ Two layers, one source of truth:
   ``docs/LEARNED.md``).
 
 Feature extraction never walks an event loop: cost per point is a few
-array reductions, ~20x cheaper than a single scalar
-:class:`~repro.engine.analytic.StreamReplay` settle and ~3 orders of
-magnitude cheaper than the DES.
+array reductions, ~3 orders of magnitude cheaper than the DES.
 """
 
 from __future__ import annotations
@@ -139,7 +137,7 @@ class FeatureExtractor:
         invoke costs and the serialized link occupancy, then one
         ``P * sync_per_stream`` charge per sync phase (and one for the
         harness's final global sync) — the same cost constants the DES
-        and the analytic replay use, minus dependency interleaving.
+        and the analytic model use, minus dependency interleaving.
         """
         geom = stream_geometry(places, 1, self.spec)
         n_streams = geom.num_streams

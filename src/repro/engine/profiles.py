@@ -1,35 +1,29 @@
-"""The model engine's scalar entry point, and the hBench models.
+"""The model engine's one-point entry point, and the hBench models.
 
 :func:`predict_run` evaluates one run spec analytically.  It does not
-hand-code any app's schedule: it replays the app's workload port
+hand-code any app's schedule: it is the grid evaluator
+(:mod:`repro.engine.grid`) at one point, over the app's workload port
 (:func:`repro.workload.ports.workload_of`; a
-:class:`~repro.workload.app.WorkloadApp` is its own port) through
-:func:`repro.workload.compile.predict_workload`, a
-:class:`~repro.engine.analytic.StreamReplay` of the same transfers,
-dedup/residency bookkeeping and dependency edges as the app's
-``_execute``, as straight-line arithmetic instead of a discrete-event
-simulation.  Repeated phases that qualify (Kmeans, Hotspot and SRAD's
-synced kernel iterations) advance in closed form: after a global sync
-every stream's tail is equal, so each further repetition adds ``max
-over streams of sum(dispatch + invoke_cost) + S * sync_per_stream`` —
-see :mod:`repro.workload.compile` for the exact rule.  A single-device
-family's port is built once and shared with the grid path's family
-cache (:func:`repro.engine.grid.port_family`).
+:class:`~repro.workload.app.WorkloadApp` is its own port) — the same
+transfers, dedup/residency bookkeeping and dependency edges as the
+app's ``_execute``, as straight-line arithmetic instead of a
+discrete-event simulation.  Repeated phases that qualify (Kmeans,
+Hotspot and SRAD's synced kernel iterations) advance in closed form —
+see :mod:`repro.workload.compile` for the exact rule.  The hBench
+probe models build a workload spec of the probe's schedule and take
+the same path.
 
-Known deviations from the DES (why the hybrid engine calibrates):
-
-* link-grant order between streams is approximated by enqueue order
-  (see :mod:`repro.engine.analytic`);
-* device memory capacity is not accounted; a configuration the DES
-  would reject with ``DeviceMemoryError`` is silently costed.  All
-  shipped figure grids fit the modeled 8 GB card.
+Known deviation from the DES (why the hybrid engine calibrates):
+link-grant order between streams is approximated by enqueue order
+(see :mod:`repro.engine.grid`).
 
 Configurations the analytic path refuses (``ModelUnsupportedError``,
 caught by the hybrid engine): real-data runs (``materialize=True``),
 ``streams_per_place != 1``, ``keep_timeline`` (no trace is produced),
 Hotspot's ``halo_sync="p2p"`` dependency pattern, Cholesky's non-owner
-stream mappings, noisy or full-duplex device specs, and any app class
-without a workload port.
+stream mappings, noisy or full-duplex device specs, ports whose
+buffers overflow a card's memory (the DES would raise
+``DeviceMemoryError``), and any app class without a workload port.
 """
 
 from __future__ import annotations
@@ -37,8 +31,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.apps.base import AppRun
-from repro.engine.analytic import StreamReplay, invoke_cost
-from repro.errors import ModelUnsupportedError
 from repro.kernels.vecadd import vecadd_work
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -54,26 +46,38 @@ def predict_run(spec: "RunSpec") -> AppRun:
     :class:`~repro.errors.ModelUnsupportedError` for configurations the
     analytic path cannot reproduce.
     """
-    from repro.engine.grid import port_family
-    from repro.workload.compile import predict_workload
+    from repro.engine.grid import _compiled_for
 
-    if spec.streams_per_place != 1:
-        raise ModelUnsupportedError(
-            "analytic engine requires one stream per place "
-            f"(streams_per_place={spec.streams_per_place})"
-        )
-    if spec.keep_timeline:
-        raise ModelUnsupportedError(
-            "analytic engine produces no event trace (keep_timeline=True)"
-        )
-    fam = port_family(spec)
-    elapsed = predict_workload(
-        fam.workload, spec.places, spec.num_devices, fam.spec
-    )
-    return fam.wrap(spec.places, elapsed)
+    fam = _compiled_for(spec)
+    return fam.wrap(spec.places, fam.evaluate(spec.places))
 
 
 # -- hBench (fig5/fig6/fig7) -------------------------------------------------
+
+
+def _hbench_predict(hb: "HBench", places: int, ops, kernels=()) -> float:
+    """Predicted seconds of one unsynced phase of ``ops`` at ``places``
+    partitions; the harness's final global sync ends it, as the probe's
+    own ``sync_all`` does."""
+    from repro.parallel.runspec import RunSpec
+    from repro.workload.spec import PhaseSpec, WorkloadSpec
+
+    workload = WorkloadSpec(
+        name="hbench",
+        kernels=tuple(kernels),
+        phases=(PhaseSpec(ops=tuple(ops), sync=False),),
+    )
+    run = RunSpec.for_workload(workload, places=places, spec=hb.spec)
+    return predict_run(run).elapsed
+
+
+def _vecadd_ops(hb: "HBench", elements: int, iterations: int, nblocks: int):
+    """(kernels, ops) invoking ``nblocks`` vecadd blocks round-robin."""
+    from repro.workload.spec import KernelSpec, OpSpec
+
+    work = vecadd_work(elements, iterations, hb.itemsize, hb.spec)
+    ops = [OpSpec("exe", i, kernel=0) for i in range(nblocks)]
+    return (KernelSpec.from_work(work),), ops
 
 
 def hbench_transfer_model(hb: "HBench", hd_blocks: int, dh_blocks: int) -> float:
@@ -83,13 +87,12 @@ def hbench_transfer_model(hb: "HBench", hd_blocks: int, dh_blocks: int) -> float
     two streams); the request-ordered lane reproduces the DES's strict
     alternation between the two directions.
     """
-    rep = StreamReplay(2, hb.spec)
+    from repro.workload.spec import OpSpec
+
     nbytes = (hb.block_bytes // hb.itemsize) * 4
-    for _ in range(hd_blocks):
-        rep.h2d(0, nbytes)
-    for _ in range(dh_blocks):
-        rep.d2h(1, nbytes)
-    return rep.sync_all()
+    ops = [OpSpec("h2d", 0, nbytes)] * hd_blocks
+    ops += [OpSpec("d2h", 1, nbytes)] * dh_blocks
+    return _hbench_predict(hb, 2, ops)
 
 
 def hbench_streamed_model(
@@ -110,23 +113,16 @@ def hbench_partition_sweep_model(
     hb: "HBench", places: int, nblocks: int = 128, iterations: int = 100
 ) -> float:
     """Analytic :meth:`~repro.apps.hbench.HBench.partition_sweep_time`
-    (kernel phase only, after the synced upload)."""
-    rep = StreamReplay(places, hb.spec)
-    block_elems = hb.elements // nblocks
-    work = vecadd_work(block_elems, iterations, hb.itemsize, hb.spec)
-    costs = invoke_cost(work, rep.geometry, hb.spec)
-    # The upload phase is untimed; only its trailing sync (which zeroes
-    # the stagger) matters, and the replay's tails already start equal.
-    for i in range(nblocks):
-        s = i % rep.num_streams
-        rep.invoke(s, costs[s], name=work.name)
-    return rep.sync_all()
+    (kernel phase only, after the synced upload).
+
+    The upload phase is untimed; only its trailing sync (which zeroes
+    the stagger) matters, and the model's tails already start equal.
+    """
+    kernels, ops = _vecadd_ops(hb, hb.elements // nblocks, iterations, nblocks)
+    return _hbench_predict(hb, places, ops, kernels)
 
 
 def hbench_reference_model(hb: "HBench", iterations: int = 100) -> float:
     """Analytic :meth:`~repro.apps.hbench.HBench.reference_time`."""
-    rep = StreamReplay(1, hb.spec)
-    work = vecadd_work(hb.elements, iterations, hb.itemsize, hb.spec)
-    costs = invoke_cost(work, rep.geometry, hb.spec)
-    rep.invoke(0, costs[0], name=work.name)
-    return rep.sync_all()
+    kernels, ops = _vecadd_ops(hb, hb.elements, iterations, 1)
+    return _hbench_predict(hb, 1, ops, kernels)

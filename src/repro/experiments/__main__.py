@@ -79,23 +79,17 @@ example:
 def _resolve_engine_arg(args):
     """The ``engine=`` value the executor and figures receive.
 
-    ``--no-grid`` turns the name into an engine instance with grid
-    routing off; results are bit-identical either way, the flag only
-    trades the batched array evaluation for per-point ``predict_run``.
-    ``--engine-store`` likewise forces an instance so the persistent
-    certified-family store rides along wherever the engine goes.
+    ``--engine-store`` turns ``hybrid`` and ``learned`` into engine
+    instances so the persistent certified-family store rides along
+    wherever the engine goes (the learned tier keeps it on its hybrid
+    fallback).  The probe figures resolve an instance by its ``name``.
     """
     store = getattr(args, "engine_store", None)
-    if args.engine in ("model", "hybrid") and (args.no_grid or store):
-        from repro.engine import HybridEngine, ModelEngine
+    if store and args.engine in ("hybrid", "learned"):
+        from repro.engine import HybridEngine, LearnedEngine
 
-        cls = ModelEngine if args.engine == "model" else HybridEngine
-        return cls(vectorize=not args.no_grid, store=store)
-    if args.engine == "learned" and store:
-        # The store rides on the learned engine's hybrid fallback.
-        from repro.engine import LearnedEngine
-
-        return LearnedEngine(store=store)
+        cls = HybridEngine if args.engine == "hybrid" else LearnedEngine
+        return cls(store=store)
     return args.engine
 
 
@@ -211,19 +205,12 @@ def main(argv: list[str] | None = None) -> int:
         choices=["sim", "model", "hybrid", "learned"],
         default="sim",
         help="evaluation engine for sweep-style figures: the "
-        "discrete-event simulation (sim, default), the vectorized "
-        "analytic model (model), the model certified per sweep "
+        "discrete-event simulation (sim, default), the analytic "
+        "model (model), the model certified per sweep "
         "family against simulated calibration points with simulation "
         "fallback (hybrid), or the corpus-trained model behind an "
         "uncertainty gate (learned); see docs/PERF.md and "
         "docs/LEARNED.md",
-    )
-    parser.add_argument(
-        "--no-grid",
-        action="store_true",
-        help="disable the vectorized grid-prediction path for the "
-        "model/hybrid engines (evaluate every sweep point with the "
-        "scalar predictor instead; see docs/PERF.md)",
     )
     parser.add_argument(
         "--engine-store",

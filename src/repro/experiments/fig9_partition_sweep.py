@@ -11,8 +11,8 @@ the :mod:`repro.parallel` executor: one :class:`RunSpec` per partition
 count (fast and full mode share the same code path), fanned over
 ``jobs`` worker processes and memoized in the shared simulation cache.
 With ``engine="model"``/``"hybrid"`` each panel's partition sweep is a
-single spec family, so the whole batch is answered by one vectorized
-grid evaluation (:mod:`repro.engine.grid`) before any pool dispatch.
+single spec family, so the whole batch is answered by one grid
+evaluation (:mod:`repro.engine.grid`) before any pool dispatch.
 """
 
 from __future__ import annotations

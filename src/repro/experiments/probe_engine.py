@@ -7,9 +7,13 @@ directly.  :func:`probe_series` mirrors its contract at series
 granularity: ``"model"`` evaluates the analytic helper everywhere
 (strict), ``"hybrid"`` certifies the helper against one simulated
 midpoint per series and falls back to the simulated probe for the whole
-series when the calibration error exceeds the tolerance.  The same
-``engine.*`` metrics are recorded (see ``docs/OBSERVABILITY.md``), and
-the default ``"sim"`` path records none.
+series when the calibration error exceeds the tolerance.  ``"learned"``
+takes the hybrid path too: a probe series has no corpus features, and
+the hybrid engine is the learned tier's own fallback.  An engine
+instance (as the CLI builds for ``--engine-store``) is resolved by its
+``name``.  The same ``engine.*`` metrics are recorded (see
+``docs/OBSERVABILITY.md``), and the default ``"sim"`` path records
+none.
 """
 
 from __future__ import annotations
@@ -21,14 +25,17 @@ from repro.metrics.registry import get_registry
 
 
 def probe_series(
-    engine: "str | None",
+    engine,
     xs: Sequence,
     sim_fn: Callable,
     model_fn: Callable,
     tolerance: float = 0.05,
     label: str = "",
 ) -> list[float]:
-    """Evaluate one figure series under the selected engine."""
+    """Evaluate one figure series under the selected engine (a name
+    from :data:`~repro.engine.ENGINE_NAMES`, ``None``, or an engine
+    instance)."""
+    engine = getattr(engine, "name", engine)
     if engine in (None, "sim"):
         return [sim_fn(x) for x in xs]
     registry = get_registry()
@@ -36,7 +43,7 @@ def probe_series(
         values = [model_fn(x) for x in xs]
         registry.counter("engine.points", backend="model").inc(len(values))
         return values
-    if engine == "hybrid":
+    if engine in ("hybrid", "learned"):
         mid = xs[len(xs) // 2]
         simulated = sim_fn(mid)
         registry.counter("engine.calibration_points").inc()
@@ -61,5 +68,6 @@ def probe_series(
         registry.counter("engine.points", backend="sim").inc(len(xs))
         return [sim_fn(x) for x in xs]
     raise ConfigurationError(
-        f"unknown engine {engine!r}; expected sim, model or hybrid"
+        f"unknown engine {engine!r}; expected sim, model, hybrid or "
+        "learned"
     )

@@ -1,12 +1,13 @@
 """Extension experiment — partition sweep over a declarative workload.
 
 Runs one :mod:`repro.workload` scenario (a ``--workload spec.json``
-file, or a generated default) across a partition sweep on all three
-engines — the DES, the scalar analytic model, and the vectorized grid
-path — and cross-checks them: grid must equal the scalar model bit for
-bit (they share their arithmetic), and the model must track the DES
-within the hybrid engine's certification tolerance.  This is the CLI
-face of the differential property suite in ``tests/workload``.
+file, or a generated default) across a partition sweep three ways —
+the DES, the analytic model one point at a time, and the same model
+over the whole sweep as one grid batch — and cross-checks them: the
+batch must equal the one-point answers bit for bit (one evaluator
+serves both), and the model must track the DES within the hybrid
+engine's certification tolerance.  This is the CLI face of the
+differential property suite in ``tests/workload``.
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ def run(
     result.add_series("grid", grid)
 
     result.add_check(
-        "grid equals the scalar model bit-exactly at every partition",
+        "the grid batch equals the one-point model bit-exactly at "
+        "every partition",
         all(g == m for g, m in zip(grid, model)),
     )
     result.add_check(

@@ -483,28 +483,35 @@ class SweepExecutor:
                     entries = [
                         ready.popleft() for _ in range(min(chunk, len(ready)))
                     ]
-                    if pool is None:
-                        try:
-                            pool = ProcessPoolExecutor(max_workers=workers)
-                        except OSError:
-                            # Sandboxes without process-spawn rights:
-                            # run the rest in-process.
-                            pool, chunk, limit = _InlinePool(), 1, 1
-                            task, deadline = _execute_inline, None
-                            ready.extendleft(reversed(entries))
-                            continue
                     tagged = [
                         (i, a, plan.worker_directive(i, a) if plan else None)
                         for i, a in entries
                     ]
                     try:
+                        if pool is None:
+                            pool = ProcessPoolExecutor(max_workers=workers)
                         future = pool.submit(
                             task,
                             [specs[i] for i, _ in entries],
                             plan,
                             [(a, d) for _, a, d in tagged] if plan else None,
                         )
-                    except (BrokenProcessPool, RuntimeError, OSError):
+                    except OSError:
+                        ready.extendleft(reversed(entries))
+                        if inflight:
+                            # The pool could not grow: let its tasks
+                            # resolve, then rebuild it.
+                            broken = True
+                            break
+                        # No worker process could start (no spawn
+                        # rights, or a process limit): nothing ran, so
+                        # nothing is charged; run the rest in-process.
+                        if pool is not None:
+                            _stop(pool, kill=True)
+                        pool, chunk, limit = _InlinePool(), 1, 1
+                        task, deadline = _execute_inline, None
+                        continue
+                    except (BrokenProcessPool, RuntimeError):
                         ready.extendleft(reversed(entries))
                         broken = True
                         break

@@ -202,8 +202,8 @@ def coalesce_key(spec) -> tuple:
     Mirrors the grid path's family notion (app class × stream
     geometry × device count): specs sharing this key are exactly the
     ones :func:`repro.engine.grid.predict_grid` evaluates as one
-    compiled family, so a coalesced batch turns into one array
-    evaluation instead of N scalar replays.
+    compiled family, so a coalesced batch shares one lowering instead
+    of N separate evaluations.
     """
     return (spec.app_cls, spec.streams_per_place, spec.num_devices)
 

@@ -4,10 +4,10 @@
 :class:`~repro.workload.spec.WorkloadSpec` — the same transfers, the
 same dedup/residency bookkeeping, the same dependency edges, in the
 same emission order.  A port is its app's only hand-written model
-schedule: :func:`repro.engine.profiles.predict_run` replays it through
-:func:`~repro.workload.compile.predict_workload`, and the grid path
-lowers it once per family with
-:func:`~repro.workload.compile.lower_workload`.
+schedule: the grid path lowers it once per family (once per (family, P)
+on several devices) with :func:`~repro.workload.compile.lower_workload`,
+and :func:`repro.engine.profiles.predict_run` evaluates that lowering
+at one point.
 
 A port is *DES-exact*: ``WorkloadApp(workload_of(app, places=P,
 num_devices=N))`` run at ``places=P, num_devices=N`` produces

@@ -1,18 +1,18 @@
 """Declarative workload specs: streamed scenarios as plain data.
 
 The six paper applications hard-code their enqueue schedules in Python;
-everything else in the stack (the DES, the analytic replay, the grid
+everything else in the stack (the DES, the analytic model's grid
 lowering, serve, the sweep executor) only ever *consumes* those
 schedules.  A :class:`WorkloadSpec` captures a schedule declaratively —
 kernels, per-tile transfer/execute ops with explicit dependencies,
 sync-delimited phases with repeat counts — so one description can be
 
 * executed on the DES (:class:`repro.workload.app.WorkloadApp`),
-* costed analytically (:func:`repro.workload.compile.predict_workload`),
-* lowered to the vectorized grid path
-  (:func:`repro.workload.compile.lower_workload`),
+* lowered to the analytic model's grid path
+  (:func:`repro.workload.compile.lower_workload`) and costed there at
+  one point or over a whole grid,
 
-with all three walking the same phase/op order (the model paths advance
+with both walking the same phase/op order (the model advances
 qualifying repetitions in closed form, see :mod:`repro.workload.compile`;
 the differential property suite in ``tests/workload`` holds them
 together).

@@ -105,22 +105,19 @@ class TestHybridEngine:
         assert snapshot.gauge_value("engine.fallback_rate") == 1.0
 
     def test_failed_certification_simulates_whole_family(self, monkeypatch):
-        import repro.engine.profiles as profiles
+        from repro.engine import grid
 
-        real_predict = profiles.predict_run
+        real_evaluate = grid._CompiledFamily.evaluate
 
-        def skewed_predict(spec):
-            run = real_predict(spec)
-            run.elapsed *= 1.5
-            return run
+        def skewed_evaluate(self, places):
+            return real_evaluate(self, places) * 1.5
 
-        monkeypatch.setattr(profiles, "predict_run", skewed_predict)
+        monkeypatch.setattr(
+            grid._CompiledFamily, "evaluate", skewed_evaluate
+        )
         specs = _mm_specs(places=(1, 2, 4, 8))
         baseline = SweepExecutor(jobs=1).map(specs)
-        # vectorize=False so the skewed scalar predictor is what the
-        # engine certifies against (the grid twin of this scenario
-        # lives in test_grid.py).
-        engine = HybridEngine(vectorize=False)
+        engine = HybridEngine()
         with scoped_registry() as registry:
             runs = SweepExecutor(jobs=1, engine=engine).map(specs)
             snapshot = registry.snapshot()

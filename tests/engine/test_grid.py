@@ -1,10 +1,14 @@
-"""The vectorized grid path: planning, exactness, engine routing.
+"""The grid path: planning, exactness, engine routing.
 
-The grid path's contract is *exact float equality* with the scalar
-predictor and bit-identical sweep results through the engines — these
-tests pin the routing rules (which specs vectorize, which fall back)
-and the equality, family by family.
+The grid evaluator is the model's only evaluator; a batch must answer
+exactly what each of its points answers alone, and sweeps through the
+engines must stay bit-identical.  These tests pin the routing rules
+(which families lower, which the model refuses) and that equality,
+family by family.  ``test_model_pins.py`` pins the answers themselves.
 """
+
+import json
+from dataclasses import replace
 
 import pytest
 
@@ -18,7 +22,6 @@ from repro.apps import (
 )
 from repro.engine import (
     GridPlan,
-    HybridEngine,
     ModelEngine,
     predict_grid,
     predict_run,
@@ -62,24 +65,51 @@ class TestGridPlan:
         assert sorted(plan.families[0].indices) == [0, 1, 4]
         assert sorted(plan.families[1].indices) == [2, 3]
 
-    def test_scalar_leftovers_route_past_the_array_path(self):
+    def test_multi_device_families_route_as_array(self):
         specs = [
-            # Multi-device topologies are P-dependent: scalar route.
-            RunSpec.for_app(CholeskyApp, 2400, 16, places=4, num_devices=2),
-            # Supported single-device family: array route.
+            # Fig. 11's 2-device Cholesky: lowered per P.
+            RunSpec.for_app(CholeskyApp, 2400, 16, places=p, num_devices=2)
+            for p in (2, 4)
+        ] + [RunSpec.for_app(MatMulApp, 3000, 36, places=4)]
+        plan = GridPlan.build(specs)
+        routes = {
+            specs[fam.indices[0]].app_cls.__name__: fam.route
+            for fam in plan.families
+        }
+        assert routes == {"CholeskyApp": "array", "MatMulApp": "array"}
+        assert plan.vectorized_points == 3
+        runs = plan.predict_runs()
+        clear_grid_caches()
+        for spec, run in zip(specs, runs):
+            assert run.elapsed == predict_run(spec).elapsed
+
+    def test_refused_family_routes_as_refused(self):
+        specs = [
+            RunSpec.for_app(
+                MatMulApp, 3000, 36, places=4, streams_per_place=2
+            ),
             RunSpec.for_app(MatMulApp, 3000, 36, places=4),
         ]
         plan = GridPlan.build(specs)
-        routes = {
-            spec.app_cls.__name__: fam.route
-            for fam in plan.families
-            for i in fam.indices
-            for spec in [specs[i]]
-        }
-        assert routes == {"CholeskyApp": "scalar", "MatMulApp": "array"}
-        runs = plan.predict_runs()
-        for spec, run in zip(specs, runs):
-            assert run.elapsed == predict_run(spec).elapsed
+        assert [fam.route for fam in plan.families] == ["refused", "array"]
+        assert plan.vectorized_points == 1
+        with scoped_registry() as registry:
+            runs = plan.predict_runs(strict=False)
+            snapshot = registry.snapshot()
+        assert runs[0] is None and runs[1].engine == "model"
+        assert snapshot.counter_value(
+            "engine.grid.families", route="refused"
+        ) == 1
+
+    def test_points_below_one_place_per_device_are_refused(self):
+        specs = [
+            RunSpec.for_app(MatMulApp, 600, 16, places=p, num_devices=2)
+            for p in (1, 2)
+        ]
+        runs = GridPlan.build(specs).predict_runs(strict=False)
+        assert runs[0] is None and runs[1].engine == "model"
+        with pytest.raises(ModelUnsupportedError):
+            predict_runs(specs)
 
     def test_unsupported_specs_raise_exactly_like_the_scalar_loop(self):
         specs = [
@@ -113,21 +143,29 @@ class TestExactEquality:
         ids=lambda s: s.app_cls.__name__,
     )
     def test_grid_equals_scalar_bitwise(self, spec):
-        grid_run = predict_runs([spec])[0]
-        scalar_run = predict_run(spec)
-        assert grid_run.elapsed == scalar_run.elapsed  # exact, not approx
-        assert grid_run.gflops == scalar_run.gflops
-        assert grid_run.engine == scalar_run.engine == "model"
-        assert grid_run.tiles == scalar_run.tiles
+        # A batch over the partition axis answers each point exactly as
+        # the point evaluated alone, from cleared caches.
+        sweep = [replace(spec, places=p) for p in (1, 3, spec.places, 56)]
+        batch = predict_runs(sweep)
+        for point, grid_run in zip(sweep, batch):
+            clear_grid_caches()
+            alone = predict_run(point)
+            assert grid_run.elapsed == alone.elapsed  # exact, not approx
+            assert grid_run.gflops == alone.gflops
+            assert grid_run.engine == alone.engine == "model"
+            assert grid_run.tiles == alone.tiles
 
     def test_fig9_partition_sweep_exact(self):
+        from tests.engine.test_model_pins import APP_PLACES, PINS
+
+        pins = json.loads(PINS.read_text())["apps"]
+        places = sorted({*range(1, 57, 5), *APP_PLACES})
         specs = [
-            RunSpec.for_app(MatMulApp, 3000, 36, places=p)
-            for p in range(1, 57, 5)
+            RunSpec.for_app(MatMulApp, 3000, 36, places=p) for p in places
         ]
-        grid = predict_grid(specs)
-        for x, spec in zip(grid, specs):
-            assert x == predict_run(spec).elapsed
+        grid = dict(zip(places, predict_grid(specs)))
+        for p in APP_PLACES:
+            assert float(grid[p]).hex() == pins[f"MatMulApp|3000|36|P{p}"]
 
     def test_memoized_reevaluation_is_stable(self):
         specs = _mm_specs()
@@ -141,9 +179,8 @@ class TestEngineRouting:
         specs = _mm_specs()
         with scoped_registry():
             vec = SweepExecutor(jobs=1, engine=ModelEngine()).map(specs)
-            plain = SweepExecutor(
-                jobs=1, engine=ModelEngine(vectorize=False)
-            ).map(specs)
+        clear_grid_caches()
+        plain = [predict_run(spec) for spec in specs]
         for a, b in zip(vec, plain):
             assert a.elapsed == b.elapsed
             assert a.engine == b.engine == "model"
@@ -152,15 +189,12 @@ class TestEngineRouting:
         specs = _mm_specs()
         with scoped_registry():
             grid_runs = SweepExecutor(jobs=1, engine="hybrid").map(specs)
-            point_runs = SweepExecutor(
-                jobs=1, engine=HybridEngine(vectorize=False)
-            ).map(specs)
-        assert [r.engine for r in grid_runs] == [
-            r.engine for r in point_runs
-        ]
-        assert [r.elapsed for r in grid_runs] == [
-            r.elapsed for r in point_runs
-        ]
+        clear_grid_caches()
+        for spec, run in zip(specs, grid_runs):
+            if run.engine == "model":
+                assert run.elapsed == predict_run(spec).elapsed
+            else:  # a calibration point reports its simulated result
+                assert run.elapsed == spec.execute().elapsed
 
     def test_hybrid_grid_metrics(self):
         specs = _mm_specs()

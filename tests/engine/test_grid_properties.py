@@ -1,28 +1,35 @@
-"""Property test: ``predict_grid`` is *exactly* ``predict_run``.
+"""Property test: a batch answers exactly what each point answers alone.
 
-The grid path duplicates each scalar predictor's schedule in a lowered
-form; any drift between the two implementations — a reordered float
-add, a missed dedup, a wrong tie-break on the transfer lane — shows up
-as a bitwise inequality somewhere in the (P, T, D) space.  Hypothesis
-walks that space across all six app profiles and demands exact float
-equality (``==``, never ``approx``) at every point.
+``predict_runs`` evaluates a heterogeneous batch through shared family
+lowerings and per-P point caches.  Any state that leaks between points
+shows up as a bitwise inequality somewhere in the (P, T, D) space: a
+lane or first-invocation set carried across evaluations, a point
+schedule cached under the wrong partition count, or one P's lowering
+reused for another P of a multi-device family.  Hypothesis walks that
+space across all six app profiles, plus 2-device MatMul and Cholesky,
+and demands exact float equality (``==``, never ``approx``) with each
+point evaluated alone from cleared caches.
 """
 
 from hypothesis import given, settings
 
 from repro.engine import predict_run, predict_runs
+from repro.engine.grid import clear_grid_caches
 from tests.strategies import spec_grids
 
 
 @settings(max_examples=30, deadline=None)
 @given(specs=spec_grids)
 def test_predict_grid_is_elementwise_identical_to_predict_run(specs):
+    clear_grid_caches()
     grid_runs = predict_runs(specs)
     for spec, grid_run in zip(specs, grid_runs):
-        scalar_run = predict_run(spec)
-        assert grid_run.elapsed == scalar_run.elapsed
-        assert grid_run.gflops == scalar_run.gflops
-        assert grid_run.app == scalar_run.app
-        assert grid_run.places == scalar_run.places
-        assert grid_run.tiles == scalar_run.tiles
-        assert grid_run.engine == scalar_run.engine == "model"
+        clear_grid_caches()
+        alone = predict_run(spec)
+        assert grid_run.elapsed == alone.elapsed
+        assert grid_run.gflops == alone.gflops
+        assert grid_run.app == alone.app
+        assert grid_run.places == alone.places
+        assert grid_run.tiles == alone.tiles
+        assert grid_run.engine == alone.engine == "model"
+    clear_grid_caches()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine import HybridEngine, LearnedEngine
 from repro.errors import ConfigurationError
 from repro.experiments.probe_engine import probe_series
 from repro.metrics.registry import scoped_registry
@@ -86,6 +87,47 @@ class TestHybrid:
             snapshot = registry.snapshot()
         assert values == [_sim(x) for x in XS]  # 1 % err > 0.1 % tol
         assert snapshot.counter_value("engine.families_fallback") == 1
+
+
+class TestEngineResolution:
+    """The CLI hands the figures an engine instance under
+    ``--engine-store``, and ``learned`` has no probe path of its own."""
+
+    @staticmethod
+    def _model_near(x):
+        return _sim(x) * 1.01
+
+    @pytest.mark.parametrize(
+        "engine",
+        [HybridEngine(), LearnedEngine(), "learned"],
+        ids=["hybrid-instance", "learned-instance", "learned"],
+    )
+    def test_takes_the_hybrid_probe_path(self, engine):
+        with scoped_registry() as registry:
+            values = probe_series(engine, XS, _sim, self._model_near)
+            snapshot = registry.snapshot()
+        mid = XS[len(XS) // 2]
+        assert values == [
+            _sim(x) if x == mid else self._model_near(x) for x in XS
+        ]
+        assert snapshot.counter_value("engine.families_certified") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--engine", "hybrid", "--engine-store", "{store}"],
+            ["--engine", "learned"],
+        ],
+        ids=["hybrid-store", "learned"],
+    )
+    def test_probe_figures_run_from_the_cli(self, argv, tmp_path):
+        from repro.experiments.__main__ import main
+
+        argv = [a.format(store=tmp_path / "store") for a in argv]
+        rc = main(
+            [*argv, "--results-dir", str(tmp_path / "results"), "fig5"]
+        )
+        assert rc == 0
 
 
 def test_unknown_engine_rejected():

@@ -229,26 +229,24 @@ class TestHybridEngineStore:
             assert run.elapsed == pytest.approx(ref.elapsed, rel=1e-9)
 
     def test_failed_verdict_skips_straight_to_sim(self, tmp_path, monkeypatch):
-        import repro.engine.profiles as profiles
+        from repro.engine import grid
 
-        real_predict = profiles.predict_run
+        real_evaluate = grid._CompiledFamily.evaluate
 
-        def skewed_predict(spec):
-            run = real_predict(spec)
-            run.elapsed *= 1.5
-            return run
+        def skewed_evaluate(self, places):
+            return real_evaluate(self, places) * 1.5
 
-        monkeypatch.setattr(profiles, "predict_run", skewed_predict)
+        monkeypatch.setattr(
+            grid._CompiledFamily, "evaluate", skewed_evaluate
+        )
         specs = _mm_specs(places=(1, 2, 4, 8))
         with scoped_registry():
             SweepExecutor(
-                jobs=1,
-                engine=HybridEngine(vectorize=False, store=tmp_path),
+                jobs=1, engine=HybridEngine(store=tmp_path)
             ).map(specs)
         with scoped_registry() as registry:
             runs = SweepExecutor(
-                jobs=1,
-                engine=HybridEngine(vectorize=False, store=tmp_path),
+                jobs=1, engine=HybridEngine(store=tmp_path)
             ).map(specs)
             snapshot = registry.snapshot()
         assert snapshot.counter_value("engine.calibration_points") == 0

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,35 @@ class TestChunksComposeWithRetries:
         assert stats.worker_crashes == 1
         assert stats.retries == 1
         assert stats.attempts == 17
+
+    def test_pool_that_cannot_fork_runs_in_process(self, monkeypatch):
+        # Under a process limit the pool builds, but its first submit
+        # fails to start a worker (as ``Process.start`` does).  Nothing
+        # ran, so nothing is charged and the specs run in-process.  The
+        # fake never starts a process, and stops rebuilding after a few
+        # pools so a livelock fails the test instead of hanging it.
+        built = []
+
+        class CannotFork(ProcessPoolExecutor):
+            def __init__(self, max_workers=None):
+                built.append(self)
+                assert len(built) <= 3, "the pool is rebuilt again and again"
+                super().__init__(max_workers=max_workers)
+
+            def submit(self, fn, /, *args, **kwargs):
+                raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(
+            "repro.parallel.executor.ProcessPoolExecutor", CannotFork
+        )
+        executor = SweepExecutor(jobs=2, chunksize=4)
+        runs = executor.map(SPECS)
+        serial = SweepExecutor(jobs=1).map(SPECS)
+        assert [r.elapsed for r in runs] == [r.elapsed for r in serial]
+        assert len(built) == 1
+        stats = executor.stats
+        assert stats.attempts == len(SPECS)
+        assert stats.worker_crashes == stats.retries == stats.failures == 0
 
 
 #: A worker that really dies, under a fault plan that directs no worker

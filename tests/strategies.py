@@ -1,8 +1,8 @@
 """Shared Hypothesis strategies for the property suites.
 
 One home for every strategy that more than one suite draws from: the
-run-spec space of the six paper apps (grid-vs-scalar differential
-tests), the overlap-model stage-time regime, and the declarative
+run-spec space of the six paper apps (the grid's batch-vs-point
+property), the overlap-model stage-time regime, and the declarative
 workload-spec space of :mod:`repro.workload` (including the iterated
 kernel phases the model advances in closed form).  Import from here rather
 than re-declaring — the differential suites are only as strong as the
@@ -37,8 +37,9 @@ def _build(app_cls, p, args, kwargs=None):
     return RunSpec.for_app(app_cls, *args, places=p, **(kwargs or {}))
 
 
-#: One strategy per app profile: (P, T, D) draws sized so a single
-#: example stays fast while still varying the tile/dataset geometry.
+#: One strategy per app profile, plus 2-device MatMul and Cholesky:
+#: (P, T, D) draws sized so a single example stays fast while still
+#: varying the tile/dataset geometry.
 #: MM and Cholesky need a perfect-square tile count with the matrix a
 #: multiple of its grid side; the banded apps need tiles <= rows.
 SPEC_STRATEGIES = [
@@ -84,6 +85,23 @@ SPEC_STRATEGIES = [
     st.builds(
         lambda p, g, block: _build(CholeskyApp, p, (g * block, g * g)),
         st.integers(min_value=1, max_value=16),
+        st.integers(min_value=2, max_value=6),
+        st.sampled_from([240, 300, 480]),
+    ),
+    # The two apps whose ports depend on P over several cards.
+    st.builds(
+        lambda p, g, block: _build(
+            MatMulApp, p, (g * block, g * g), {"num_devices": 2}
+        ),
+        st.integers(min_value=2, max_value=16),
+        st.integers(min_value=1, max_value=4),
+        st.sampled_from([150, 300, 600]),
+    ),
+    st.builds(
+        lambda p, g, block: _build(
+            CholeskyApp, p, (g * block, g * g), {"num_devices": 2}
+        ),
+        st.integers(min_value=2, max_value=16),
         st.integers(min_value=2, max_value=6),
         st.sampled_from([240, 300, 480]),
     ),

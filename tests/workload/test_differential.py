@@ -2,12 +2,13 @@
 
 Three consumers, one spec, three agreement contracts:
 
-* **grid == scalar, bit for bit.**  ``predict_grid`` and the scalar
-  predictor replay the identical op walk with identical arithmetic;
-  Hypothesis demands exact float equality over the whole DSL space.
-* **model tracks the DES.**  The analytic replay's only approximation
-  is link-grant ordering; on generated scenarios it must stay within
-  the hybrid engine's certification tolerance of the simulated truth.
+* **a batch equals its points, bit for bit.**  The grid evaluator
+  answers a partition sweep (on one card and on two) exactly as it
+  answers each point alone from cleared caches; Hypothesis demands
+  exact float equality over the whole DSL space.
+* **model tracks the DES.**  The model's only approximation is
+  link-grant ordering; on generated scenarios it must stay within the
+  hybrid engine's certification tolerance of the simulated truth.
 * **hybrid certifies or falls back.**  For every generated scenario
   family the hybrid engine either certifies (calibration points within
   tolerance, rest answered by the model) or demonstrably falls back to
@@ -18,6 +19,7 @@ Three consumers, one spec, three agreement contracts:
 from hypothesis import given, settings
 
 from repro.engine import DEFAULT_TOLERANCE, predict_run, predict_runs
+from repro.engine.grid import clear_grid_caches
 from repro.metrics.registry import scoped_registry
 from repro.parallel import RunSpec, SweepExecutor
 from repro.workload import ScenarioGenerator, WorkloadApp
@@ -30,14 +32,22 @@ PLACES = (1, 2, 3, 5, 8, 13)
 @given(workload=workload_specs())
 def test_grid_equals_scalar_model_bit_exactly(workload):
     specs = [RunSpec.for_workload(workload, places=p) for p in PLACES]
+    specs += [
+        RunSpec.for_workload(workload, places=p, num_devices=2)
+        for p in PLACES
+        if p >= 2
+    ]
+    clear_grid_caches()
     grid_runs = predict_runs(specs)
     for spec, grid_run in zip(specs, grid_runs):
-        scalar_run = predict_run(spec)
-        assert grid_run.elapsed == scalar_run.elapsed
-        assert grid_run.gflops == scalar_run.gflops
-        assert grid_run.app == scalar_run.app
-        assert grid_run.tiles == scalar_run.tiles
-        assert grid_run.engine == scalar_run.engine == "model"
+        clear_grid_caches()
+        alone = predict_run(spec)
+        assert grid_run.elapsed == alone.elapsed
+        assert grid_run.gflops == alone.gflops
+        assert grid_run.app == alone.app
+        assert grid_run.tiles == alone.tiles
+        assert grid_run.engine == alone.engine == "model"
+    clear_grid_caches()
 
 
 @settings(max_examples=25, deadline=None)

@@ -5,8 +5,8 @@
 original app's run, on one device and (with the run's ``places`` and
 ``num_devices``) on several.  The port is also the model's schedule, so
 an app's analytic prediction and its port's are the same bits, and a
-spec and its JSON round trip predict the same bits on the scalar and
-the grid path.
+spec and its JSON round trip predict the same bits, in a batch and
+point by point.
 """
 
 import pytest
@@ -129,9 +129,11 @@ def test_srad_port_and_its_json_round_trip_predict_the_same_bits():
         specs = [RunSpec.for_workload(x, places=p) for p in PLACES]
         clear_grid_caches()
         grid = [run.elapsed for run in predict_runs(specs)]
-        clear_grid_caches()
-        scalar = [predict_run(spec).elapsed for spec in specs]
-        assert grid == scalar
+        alone = []
+        for spec in specs:
+            clear_grid_caches()
+            alone.append(predict_run(spec).elapsed)
+        assert grid == alone
         answers.append(grid)
     clear_grid_caches()
     assert answers[0] == answers[1]
