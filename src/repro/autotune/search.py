@@ -23,7 +23,7 @@ Objective = Callable[[Config], float]
 #: cannot distinguish the top two.  1.0 (one combined standard
 #: deviation) keeps worst-case regret within the 5 % tolerance on
 #: held-out scenarios while leaving most searches at zero DES
-#: (``benchmarks/bench_learned.py``).
+#: (``tests/autotune/test_learned_search.py``).
 MARGIN_FACTOR = 1.0
 
 

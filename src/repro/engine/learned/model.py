@@ -16,9 +16,7 @@ is what routes out-of-distribution queries to the DES fallback.
 
 Serialization is plain JSON: Python floats round-trip exactly through
 ``repr``, so a reloaded model predicts **bit-identically** (held by
-``tests/engine/test_learned_model.py``).  ``train_model`` accepts
-``backend="sklearn"`` when scikit-learn happens to be installed; the
-default never imports it.
+``tests/engine/test_learned_model.py``).
 """
 
 from __future__ import annotations
@@ -180,35 +178,7 @@ class RidgeModel:
         return cls.from_dict(payload)
 
 
-def train_model(
-    corpus: "Corpus",
-    lam: float = RIDGE_LAMBDA,
-    backend: str = "ridge",
-) -> RidgeModel:
-    """Train a model on a labeled corpus.
-
-    ``backend="ridge"`` (default) is the hand-rolled Bayesian ridge
-    above.  ``backend="sklearn"`` fits the mean with
-    ``sklearn.linear_model.Ridge`` when scikit-learn is installed
-    (raising :class:`~repro.errors.ConfigurationError` when it is not)
-    and keeps the hand-rolled posterior for the uncertainty — the gate
-    semantics never depend on the optional dependency.
-    """
+def train_model(corpus: "Corpus", lam: float = RIDGE_LAMBDA) -> RidgeModel:
+    """Fit the Bayesian ridge above to a labeled corpus."""
     x, y = corpus.matrices()
-    model = RidgeModel.fit(x, y, corpus.feature_names, lam=lam)
-    if backend == "ridge":
-        return model
-    if backend == "sklearn":
-        try:
-            from sklearn.linear_model import Ridge  # type: ignore
-        except ImportError:
-            raise ConfigurationError(
-                "backend='sklearn' requires scikit-learn, which is not "
-                "installed; use the default backend='ridge'"
-            )
-        fitted = Ridge(alpha=lam, fit_intercept=False).fit(x, y)
-        model.coef = np.asarray(fitted.coef_, dtype=np.float64)
-        return model
-    raise ConfigurationError(
-        f"unknown model backend {backend!r}; expected 'ridge' or 'sklearn'"
-    )
+    return RidgeModel.fit(x, y, corpus.feature_names, lam=lam)

@@ -36,12 +36,12 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ReproError
+from repro.metrics.manifest import atomic_write_json
 from repro.metrics.registry import get_registry
 
 #: Current store schema version (bumped on incompatible changes).
@@ -272,23 +272,8 @@ class EngineStore:
             "schema_version": STORE_VERSION,
             "entries": entries,
         }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        # Atomic replace, like RunManifest: a crashed run never leaves
-        # a torn store for the next process to choke on.
-        fd, tmp = tempfile.mkstemp(
-            dir=self.path.parent, prefix=self.path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp, self.path)
-            self._file_sig = self._signature()
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write_json(self.path, payload)
+        self._file_sig = self._signature()
 
 
 def resolve_store(store) -> "EngineStore | None":

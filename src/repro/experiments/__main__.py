@@ -98,9 +98,8 @@ def _build_executor(args, engine_arg):
 
     With plain ``--jobs`` the per-figure executors are kept (their
     behaviour predates the resilience layer and is unchanged); retries,
-    checkpoints, fault plans and ``--keep-traces`` need a single
-    executor whose stats, checkpoint file and transport mode span the
-    whole invocation.
+    checkpoints and fault plans need a single executor whose stats and
+    checkpoint file span the whole invocation.
     """
     if (
         args.retries is None
@@ -108,7 +107,6 @@ def _build_executor(args, engine_arg):
         and args.fault_plan is None
         and args.on_error == "raise"
         and args.engine == "sim"
-        and not args.keep_traces
     ):
         return None
     from repro.faults import FaultPlan
@@ -135,7 +133,6 @@ def _build_executor(args, engine_arg):
         ),
         on_error=args.on_error,
         engine=engine_arg,
-        keep_traces=args.keep_traces,
         engine_store=args.engine_store,
     )
 
@@ -220,13 +217,6 @@ def main(argv: list[str] | None = None) -> int:
         "JSON file or directory); a repeat invocation answers "
         "already-certified sweep families with zero DES calibration "
         "runs (see docs/PERF.md)",
-    )
-    parser.add_argument(
-        "--keep-traces",
-        action="store_true",
-        help="ship full run objects (with per-run metrics snapshots) "
-        "back from worker processes instead of the slim scalar "
-        "transport; results are identical, only the IPC volume differs",
     )
     parser.add_argument(
         "--app",

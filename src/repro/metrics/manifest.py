@@ -116,7 +116,6 @@ class RunManifest:
         snapshot as ``metrics.json``) atomically; returns the manifest
         path."""
         directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
         payload = self.to_dict()
         errors = validate_manifest(payload)
         if errors:  # pragma: no cover - defensive: we built the payload
@@ -124,8 +123,10 @@ class RunManifest:
                 "refusing to write invalid manifest: " + "; ".join(errors)
             )
         path = directory / "manifest.json"
-        _atomic_write_json(path, payload)
-        _atomic_write_json(directory / "metrics.json", payload["metrics"])
+        atomic_write_json(path, payload, indent=1)
+        atomic_write_json(
+            directory / "metrics.json", payload["metrics"], indent=1
+        )
         return path
 
 
@@ -220,13 +221,19 @@ def git_describe(cwd: "str | os.PathLike | None" = None) -> "str | None":
     return out.stdout.strip() or None
 
 
-def _atomic_write_json(path: Path, payload: Any) -> None:
+def atomic_write_json(
+    path: Path, payload: Any, indent: "int | None" = None
+) -> None:
+    """Write ``payload`` as JSON to ``path`` (creating its directory)
+    through a same-directory temp file and ``os.replace``, so a reader
+    or a crashed writer never sees a torn file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(
         dir=path.parent, prefix=path.name, suffix=".tmp"
     )
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
+            json.dump(payload, fh, indent=indent)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -24,7 +24,6 @@ hard to kill:
 from repro.parallel.budget import DesBudget
 from repro.parallel.cache import (
     CacheStats,
-    DEFAULT_CACHE_DIR,
     SimulationCache,
     decode_run,
     encode_run,
@@ -45,13 +44,11 @@ from repro.parallel.runspec import (
     RunSpec,
     compress_snapshot,
     decompress_snapshot,
-    execute_spec_slim,
 )
 
 __all__ = [
     "CHECKPOINT_VERSION",
     "CacheStats",
-    "DEFAULT_CACHE_DIR",
     "DesBudget",
     "ExecutorStats",
     "FailedRun",
@@ -66,7 +63,6 @@ __all__ = [
     "decode_run",
     "decompress_snapshot",
     "encode_run",
-    "execute_spec_slim",
     "is_failed",
     "resolve_jobs",
     "run_sweep",

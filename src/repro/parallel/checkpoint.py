@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 
 from repro.apps.base import AppRun
 from repro.errors import ConfigurationError
+from repro.metrics.manifest import atomic_write_json
 from repro.parallel.cache import decode_run, encode_run
 from repro.parallel.runspec import RunSpec
 
@@ -87,21 +87,9 @@ class SweepCheckpoint:
         """Write the checkpoint atomically (no-op when clean)."""
         if not self._dirty:
             return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {"version": CHECKPOINT_VERSION, "runs": self._runs}
-        fd, tmp = tempfile.mkstemp(
-            dir=self.path.parent, prefix=self.path.name, suffix=".tmp"
+        atomic_write_json(
+            self.path, {"version": CHECKPOINT_VERSION, "runs": self._runs}
         )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
         self._dirty = 0
 
     # -- internals -----------------------------------------------------------

@@ -176,7 +176,6 @@ class SweepExecutor:
         on_error: str = "raise",
         engine: "str | object" = "sim",
         chunksize: int | None = None,
-        keep_traces: bool = False,
         engine_store: "str | object | None" = None,
         des_budget: "DesBudget | None" = None,
     ) -> None:
@@ -193,12 +192,6 @@ class SweepExecutor:
                 f"on_error must be 'raise' or 'record', got {on_error!r}"
             )
         self.on_error = on_error
-        #: ``True`` restores full-object result transport (whole
-        #: ``AppRun`` pickles) instead of the default slim
-        #: :class:`~repro.parallel.runspec.RunResult` wire records —
-        #: the CLIs' ``--keep-traces``.  Specs with ``keep_timeline``
-        #: always ship their full run either way.
-        self.keep_traces = keep_traces
         #: Evaluation engine (see :mod:`repro.engine`): ``None`` for the
         #: native simulation path, else an object whose ``map`` decides
         #: per spec between analytic prediction and simulation.
@@ -230,8 +223,7 @@ class SweepExecutor:
         self._progress_total: "int | None" = None
         self._progress_done = 0
         #: When set, completed runs buffer here instead of writing the
-        #: cache point-by-point; ``_map_sim`` flushes via ``put_many``
-        #: (one disk write per fingerprint, not one per run).
+        #: cache point-by-point; ``_map_sim`` flushes via ``put_many``.
         self._put_buffer: "list | None" = None
 
     # -- public API --------------------------------------------------------
@@ -455,11 +447,7 @@ class SweepExecutor:
         else:
             chunk = self._effective_chunksize(len(indices))
             limit = 4 * self.jobs
-            task = (
-                execute_spec_batch
-                if self.keep_traces
-                else execute_spec_batch_slim
-            )
+            task = execute_spec_batch_slim
             deadline = self.retry.timeout if self.retry is not None else None
             workers = min(self.jobs, -(-len(indices) // chunk))
         ready: deque = deque((i, 0) for i in indices)
@@ -727,7 +715,6 @@ def run_sweep(
     on_error: str = "raise",
     engine: "str | object" = "sim",
     chunksize: int | None = None,
-    keep_traces: bool = False,
     engine_store: "str | object | None" = None,
 ) -> "list[AppRun]":
     """One-shot helper: ``SweepExecutor(...).map(specs)``."""
@@ -741,6 +728,5 @@ def run_sweep(
         on_error=on_error,
         engine=engine,
         chunksize=chunksize,
-        keep_traces=keep_traces,
         engine_store=engine_store,
     ).map(specs)

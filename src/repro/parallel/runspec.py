@@ -195,21 +195,16 @@ class RunSpec:
 class RunResult:
     """Compact wire record of one executed run (slim result transport).
 
-    A sweep only consumes a run's scalar timings, yet the pool used to
-    ship whole :class:`~repro.apps.base.AppRun` objects back — including
-    a full :class:`~repro.metrics.registry.MetricsSnapshot` per run (and
-    the entire trace for ``keep_timeline`` specs).  A ``RunResult``
-    carries the timings plus, at most, the run's metrics delta as
-    zlib-compressed snapshot JSON; chunked workers go further and merge
-    their whole batch's snapshots into **one** compressed delta (the
-    merge is associative and commutative, so parent-side totals are
-    unchanged).  Executors decode back to an ``AppRun`` on arrival, so
-    nothing downstream sees the wire format.
-
-    ``SweepExecutor(keep_traces=True)`` (the CLIs' ``--keep-traces``)
-    restores the previous full-object transport; specs with
-    ``keep_timeline=True`` always ride the full path so their trace
-    output is bit-identical either way.
+    A sweep only consumes a run's scalar timings, so pool workers ship
+    a ``RunResult`` — the timings alone — instead of the whole
+    :class:`~repro.apps.base.AppRun` with its
+    :class:`~repro.metrics.registry.MetricsSnapshot`; each task merges
+    its batch's snapshots into **one** compressed delta (the merge is
+    associative and commutative, so parent-side totals are unchanged).
+    Executors decode back to an ``AppRun`` on arrival, so nothing
+    downstream sees the wire format.  Specs with ``keep_timeline=True``
+    ship their full run, so their trace output is bit-identical to an
+    in-process run.
     """
 
     app: str
@@ -218,9 +213,6 @@ class RunResult:
     tiles: int
     gflops: "float | None"
     engine: str
-    #: zlib-compressed ``MetricsSnapshot`` JSON, or None when the delta
-    #: was merged into a chunk-level blob (or the run had no metrics).
-    metrics_z: "bytes | None" = None
 
     def __reduce__(self):
         # Positional-tuple pickling: no per-instance field-name state
@@ -234,17 +226,11 @@ class RunResult:
                 self.tiles,
                 self.gflops,
                 self.engine,
-                self.metrics_z,
             ),
         )
 
     @classmethod
-    def from_run(
-        cls, run: "AppRun", include_metrics: bool = True
-    ) -> "RunResult":
-        metrics_z = None
-        if include_metrics and run.metrics is not None:
-            metrics_z = compress_snapshot(run.metrics)
+    def from_run(cls, run: "AppRun") -> "RunResult":
         return cls(
             app=run.app,
             elapsed=run.elapsed,
@@ -252,25 +238,19 @@ class RunResult:
             tiles=run.tiles,
             gflops=run.gflops,
             engine=run.engine,
-            metrics_z=metrics_z,
         )
 
     def to_run(self) -> "AppRun":
-        """Rehydrate the parent-side :class:`AppRun`."""
+        """Rehydrate the parent-side :class:`AppRun` (its metrics
+        arrive separately, in the task's merged delta)."""
         from repro.apps.base import AppRun
 
-        metrics = (
-            decompress_snapshot(self.metrics_z)
-            if self.metrics_z is not None
-            else None
-        )
         return AppRun(
             app=self.app,
             elapsed=self.elapsed,
             places=self.places,
             tiles=self.tiles,
             gflops=self.gflops,
-            metrics=metrics,
             engine=self.engine,
         )
 
@@ -289,16 +269,6 @@ def decompress_snapshot(blob: bytes) -> "MetricsSnapshot":
     return MetricsSnapshot.from_json(
         zlib.decompress(blob).decode("utf-8")
     )
-
-
-def execute_spec_slim(spec: RunSpec) -> "RunResult | AppRun":
-    """Run one spec and ship a :class:`RunResult` instead of the full
-    run.  ``keep_timeline`` specs return the full ``AppRun`` (their
-    trace is the product)."""
-    run = spec.execute()
-    if spec.keep_timeline:
-        return run
-    return RunResult.from_run(run)
 
 
 class _Unpicklable:
@@ -399,8 +369,6 @@ def execute_spec_batch_slim(
         metrics = run.metrics
         if metrics is not None:
             merged = metrics if merged is None else merged.merge(metrics)
-        outcomes[k] = (
-            "ok", RunResult.from_run(run, include_metrics=False), seconds,
-        )
+        outcomes[k] = ("ok", RunResult.from_run(run), seconds)
     metrics_z = compress_snapshot(merged) if merged is not None else None
     return outcomes, metrics_z

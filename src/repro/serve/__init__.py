@@ -12,7 +12,7 @@ by the repo's own evaluation stack:
   bounded queue with load shedding, and graceful drain;
 * runtime drivers (:mod:`repro.serve.service`) — the asyncio
   production pump and a simulated-time :class:`SyncDriver` for tests
-  and benches (no sleeps or sockets in the batching/dispatch tests);
+  (no sleeps or sockets in the batching/dispatch tests);
 * a warm backend (:mod:`repro.serve.backend`) — certified hybrid
   engine seeded from a persistent ``--engine-store``, simulation
   cache for cold/fallback points, and the pruned autotune search;
@@ -22,9 +22,7 @@ by the repo's own evaluation stack:
 * multi-process serving (:mod:`repro.serve.prefork`) — ``--workers N``
   forks a kernel-balanced pool over one listening address, sharing
   certification verdicts through the persistent engine store and
-  aggregating ``/metrics`` across workers;
-* a load generator (:mod:`repro.serve.loadgen`) feeding
-  ``benchmarks/bench_serve.py`` / ``BENCH_serve.json``.
+  aggregating ``/metrics`` across workers.
 
 See ``docs/SERVING.md`` for architecture, schemas, and tuning.
 """
@@ -53,7 +51,6 @@ from repro.serve.http import (
     run_server,
     serve_http,
 )
-from repro.serve.loadgen import LoadReport, run_http, run_inprocess
 from repro.serve.prefork import (
     MetricsHub,
     RespawnPolicy,
@@ -70,7 +67,6 @@ __all__ = [
     "Batch",
     "Batcher",
     "HttpConfig",
-    "LoadReport",
     "MetricsHub",
     "PredictionBackend",
     "PredictionService",
@@ -86,8 +82,6 @@ __all__ = [
     "parse_predict",
     "parse_sweep",
     "plan_sockets",
-    "run_http",
-    "run_inprocess",
     "run_prefork",
     "run_server",
     "run_to_json",

@@ -54,7 +54,6 @@ class PredictionBackend:
         store=None,
         jobs: int = 1,
         cache: "SimulationCache | None" = None,
-        keep_traces: bool = False,
     ) -> None:
         self.store = resolve_store(store)
         self.engine_name = engine if isinstance(engine, str) else engine.name
@@ -64,7 +63,6 @@ class PredictionBackend:
             jobs=jobs,
             cache=self.cache,
             engine=resolve_engine(engine, store=self.store),
-            keep_traces=keep_traces,
         )
         #: family label -> {"points": int, "routes": {engine: count}}
         self.families: "dict[str, dict]" = {}

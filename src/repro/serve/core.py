@@ -214,7 +214,7 @@ class _BatcherMetrics:
     Registry instruments are memoized by identity, so a handle stays
     valid for the registry's lifetime; re-resolving name + labels on
     every submit/poll costs microseconds each, which is the dominant
-    admission cost at serving rates (see ``benchmarks/bench_serve.py``).
+    admission cost at serving rates.
     """
 
     __slots__ = (

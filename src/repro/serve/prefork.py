@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ConfigurationError
+from repro.metrics.manifest import atomic_write_json
 from repro.metrics.registry import MetricsSnapshot, get_registry
 
 #: Seconds between periodic worker snapshot publications.
@@ -182,26 +183,15 @@ class MetricsHub:
         """Atomically write this worker's current snapshot."""
         if self.worker_id is None:
             raise ConfigurationError("publish() needs a worker_id")
-        self.root.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "worker": self.worker_id,
-            "pid": os.getpid(),
-            "published_unix": time.time(),
-            "snapshot": snapshot.to_dict(),
-        }
-        fd, tmp = tempfile.mkstemp(
-            dir=self.root, prefix=f"worker-{self.worker_id}", suffix=".tmp"
+        atomic_write_json(
+            self._path(self.worker_id),
+            {
+                "worker": self.worker_id,
+                "pid": os.getpid(),
+                "published_unix": time.time(),
+                "snapshot": snapshot.to_dict(),
+            },
         )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp, self._path(self.worker_id))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
     def read_all(self) -> "dict[int, MetricsSnapshot]":
         """Every published worker snapshot (unreadable files skipped —

@@ -96,10 +96,13 @@ class TestLearnedSearch:
 
 
 class TestLearnedSearchFindings:
-    def test_within_tolerance_at_a_fraction_of_the_des(self):
+    # The second input is docs/LEARNED.md's headline: 14 held-out
+    # scenarios, 12 DES runs allowed of the pruned search's 98.
+    @pytest.mark.parametrize("seed, count", [(271828, 4), (104729, 14)])
+    def test_within_tolerance_at_a_fraction_of_the_des(self, seed, count):
         """Held-out scenarios: picks within 5 % of the exhaustive DES
         optimum at <= 1/8 of the pruned search's evaluation count."""
-        scenarios = ScenarioGenerator(seed=271828).corpus(4)
+        scenarios = ScenarioGenerator(seed=seed).corpus(count)
         baseline_evals = len(scenarios) * len(PRUNED_P)
         budget = DesBudget(limit=baseline_evals // 8)
         with scoped_registry():

@@ -155,6 +155,24 @@ class TestHybridEngine:
         assert [run.engine for run in runs] == ["sim", "model", "sim"]
 
 
+@pytest.mark.parametrize("engine, des_runs", [("model", 0), ("hybrid", 3)])
+def test_fig9_mm_full_grid_des_runs(engine, des_runs):
+    """The fig9-mm full grid (D 6000, T 144, P 1..56) on a cold cache:
+    the model engine runs no DES, the hybrid engine only its
+    three-point calibration spread."""
+    specs = [
+        RunSpec.for_app(MatMulApp, 6000, 144, places=p)
+        for p in range(1, 57)
+    ]
+    with scoped_registry() as registry:
+        runs = SweepExecutor(cache=SimulationCache(), engine=engine).map(
+            specs
+        )
+        snapshot = registry.snapshot()
+    assert len(runs) == 56 and all(run.elapsed > 0 for run in runs)
+    assert snapshot.counter_value("executor.runs_executed") == des_runs
+
+
 class TestExecutorEngineAttr:
     def test_sim_attaches_no_engine(self):
         ex = SweepExecutor(jobs=1)

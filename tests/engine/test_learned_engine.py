@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 
 from repro.apps import MatMulApp
-from repro.engine import DEFAULT_GATE, LearnedEngine
+from repro.engine import DEFAULT_GATE, HybridEngine, LearnedEngine
 from repro.engine.engines import ENGINE_NAMES, resolve_engine
 from repro.engine.learned import build_corpus, default_model, train_model
 from repro.errors import ConfigurationError, ModelUnsupportedError
 from repro.metrics.registry import scoped_registry
-from repro.parallel import RunSpec, SweepExecutor
+from repro.parallel import RunSpec, SimulationCache, SweepExecutor
 from repro.workload.generator import ScenarioGenerator
 from tests.strategies import workload_run_specs
 
@@ -65,6 +65,22 @@ class TestGatedAnswers:
         ) == len(specs)
         assert snap.counter_value("engine.learned.fallback") == 0
         assert snap.gauge_value("engine.learned.fallback_rate") == 0.0
+
+    def test_held_out_points_need_no_des_where_hybrid_calibrates(self):
+        """docs/LEARNED.md's point-query set: 20 held-out points (5
+        scenarios x P 4, 8, 28, 56) answer from the model with zero DES
+        runs, where a cold hybrid engine must simulate."""
+        specs = held_out_specs(5, (4, 8, 28, 56), seed=424243)
+        with scoped_registry():
+            learned = SweepExecutor(jobs=1, engine="learned")
+            runs = learned.map(specs)
+            hybrid = SweepExecutor(
+                jobs=1, cache=SimulationCache(), engine=HybridEngine()
+            )
+            hybrid.map(specs)
+        assert [run.engine for run in runs] == ["learned"] * 20
+        assert learned.stats.executed == 0
+        assert hybrid.stats.executed > 0
 
     def test_learned_predictions_track_simulation(self):
         specs = held_out_specs()

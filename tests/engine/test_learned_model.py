@@ -1,4 +1,4 @@
-"""Ridge model: bit-identical JSON round-trip, fit validation, backends."""
+"""Ridge model: bit-identical JSON round-trip and fit validation."""
 
 import json
 
@@ -102,20 +102,3 @@ class TestRoundTrip:
         with pytest.raises(ConfigurationError):
             RidgeModel.from_dict(data)
 
-
-class TestBackends:
-    def test_sklearn_backend_unavailable_raises(self, corpus):
-        # scikit-learn is intentionally absent from this container: the
-        # optional backend must fail loudly, never silently degrade.
-        try:
-            import sklearn  # noqa: F401
-
-            pytest.skip("scikit-learn installed; gate not testable here")
-        except ImportError:
-            pass
-        with pytest.raises(ConfigurationError, match="scikit-learn"):
-            train_model(corpus, backend="sklearn")
-
-    def test_unknown_backend_rejected(self, corpus):
-        with pytest.raises(ConfigurationError, match="backend"):
-            train_model(corpus, backend="mlp")

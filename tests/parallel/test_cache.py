@@ -1,6 +1,4 @@
-"""Cache tests: accounting, LRU, disk tier, fingerprint invalidation."""
-
-import json
+"""Cache tests: accounting, LRU, fingerprint invalidation, batch lookup."""
 
 from repro.apps import MatMulApp
 from repro.device.calibration import model_fingerprint
@@ -72,40 +70,6 @@ class TestLRU:
         assert cache.get(SPEC) is not None
 
 
-class TestDiskTier:
-    def test_roundtrip_across_instances(self, tmp_path):
-        first = SimulationCache(disk_dir=tmp_path)
-        run = _run_of(SPEC)
-        first.put(SPEC, run)
-        files = list(tmp_path.glob("simcache-*.json"))
-        assert len(files) == 1
-        # A fresh cache (cold memory) hits the disk tier.
-        second = SimulationCache(disk_dir=tmp_path)
-        hit = second.get(SPEC)
-        assert hit is not None
-        assert hit.elapsed == run.elapsed
-        assert second.stats.disk_hits == 1
-
-    def test_disk_file_keyed_by_fingerprint(self, tmp_path):
-        cache = SimulationCache(disk_dir=tmp_path)
-        cache.put(SPEC, _run_of(SPEC))
-        (path,) = tmp_path.glob("simcache-*.json")
-        assert model_fingerprint(PHI_31SP) in path.name
-        payload = json.loads(path.read_text())
-        (key,) = payload
-        assert key == SPEC.cache_key()
-
-    def test_corrupt_disk_file_is_ignored(self, tmp_path):
-        cache = SimulationCache(disk_dir=tmp_path)
-        cache.put(SPEC, _run_of(SPEC))
-        (path,) = tmp_path.glob("simcache-*.json")
-        path.write_text("{ not json")
-        fresh = SimulationCache(disk_dir=tmp_path)
-        assert fresh.get(SPEC) is None  # miss, not a crash
-        fresh.put(SPEC, _run_of(SPEC))  # and the file heals
-        assert SimulationCache(disk_dir=tmp_path).get(SPEC) is not None
-
-
 class TestCalibrationInvalidation:
     def test_fingerprint_changes_with_model_constants(self):
         recalibrated = PHI_31SP.with_overrides(
@@ -129,129 +93,6 @@ class TestCalibrationInvalidation:
         )
         assert cache.get(SPEC) is not None
         assert cache.get(recalibrated) is None
-
-    def test_recalibrated_disk_entries_do_not_collide(self, tmp_path):
-        cache = SimulationCache(disk_dir=tmp_path)
-        cache.put(SPEC, _run_of(SPEC))
-        recalibrated = RunSpec.for_app(
-            MatMulApp,
-            600,
-            4,
-            places=2,
-            spec=PHI_31SP.with_overrides(grain_half_ops=8000.0),
-        )
-        cache.put(recalibrated, recalibrated.execute())
-        assert len(list(tmp_path.glob("simcache-*.json"))) == 2
-
-
-def _spec_with_grain(grain):
-    """A spec whose cache key lands in its own fingerprint shard."""
-    return RunSpec.for_app(
-        MatMulApp,
-        600,
-        4,
-        places=2,
-        spec=PHI_31SP.with_overrides(grain_half_ops=grain),
-    )
-
-
-class TestDiskBound:
-    def test_disk_capacity_validated(self, tmp_path):
-        import pytest
-
-        with pytest.raises(ValueError):
-            SimulationCache(disk_dir=tmp_path, disk_capacity=0)
-
-    def test_oldest_fingerprint_shard_evicted(self, tmp_path):
-        import os
-        import time
-
-        from repro.metrics.registry import scoped_registry
-
-        cache = SimulationCache(disk_dir=tmp_path, disk_capacity=2)
-        run = _run_of(SPEC)
-        specs = [_spec_with_grain(g) for g in (7000.0, 8000.0, 9000.0)]
-        with scoped_registry() as registry:
-            for i, spec in enumerate(specs[:2]):
-                cache.put(spec, run)
-                # Distinct mtimes so "oldest" is well-defined.
-                stamp = time.time() - 60 + i
-                os.utime(
-                    cache._disk_path(
-                        cache._fingerprint_of(spec.cache_key())
-                    ),
-                    (stamp, stamp),
-                )
-            cache.put(specs[2], run)  # third shard: evicts the oldest
-            snapshot = registry.snapshot()
-        assert len(list(tmp_path.glob("simcache-*.json"))) == 2
-        assert cache.stats.disk_evictions == 1
-        assert snapshot.counter_value("engine.cache.disk_evictions") == 1
-        # The first-written (oldest) shard is gone; a cold cache still
-        # serves the two survivors.
-        fresh = SimulationCache(disk_dir=tmp_path)
-        assert fresh.get(specs[0]) is None
-        assert fresh.get(specs[1]) is not None
-        assert fresh.get(specs[2]) is not None
-
-    def test_just_written_shard_never_evicted(self, tmp_path):
-        cache = SimulationCache(disk_dir=tmp_path, disk_capacity=1)
-        run = _run_of(SPEC)
-        a, b = _spec_with_grain(7000.0), _spec_with_grain(8000.0)
-        cache.put(a, run)
-        cache.put(b, run)  # over capacity: a's shard goes, b's stays
-        (path,) = tmp_path.glob("simcache-*.json")
-        assert cache._fingerprint_of(b.cache_key()) in path.name
-        assert SimulationCache(disk_dir=tmp_path).get(b) is not None
-
-    def test_unbounded_by_default(self, tmp_path):
-        cache = SimulationCache(disk_dir=tmp_path)
-        run = _run_of(SPEC)
-        for g in (7000.0, 8000.0, 9000.0):
-            cache.put(_spec_with_grain(g), run)
-        assert len(list(tmp_path.glob("simcache-*.json"))) == 3
-        assert cache.stats.disk_evictions == 0
-
-
-class TestNegativeLookup:
-    def test_missing_shard_probed_once(self, tmp_path, monkeypatch):
-        from pathlib import Path
-
-        cache = SimulationCache(disk_dir=tmp_path)
-        reads = {"n": 0}
-        real_read_text = Path.read_text
-
-        def counting_read_text(self, *args, **kwargs):
-            reads["n"] += 1
-            return real_read_text(self, *args, **kwargs)
-
-        monkeypatch.setattr(Path, "read_text", counting_read_text)
-        assert cache.get(SPEC) is None
-        assert reads["n"] == 1
-        # Repeated misses on the same fingerprint answer from the
-        # negative-lookup marker: zero further filesystem probes.
-        assert cache.get(SPEC) is None
-        assert cache.get(OTHER) is None
-        assert cache.get_many([SPEC, OTHER]) == [None, None]
-        assert reads["n"] == 1
-
-    def test_put_clears_negative_marker(self, tmp_path):
-        cache = SimulationCache(disk_dir=tmp_path)
-        assert cache.get(SPEC) is None  # marks the shard absent
-        cache.put(SPEC, _run_of(SPEC))
-        fingerprint = cache._fingerprint_of(SPEC.cache_key())
-        assert fingerprint not in cache._disk_missing
-        # A cold instance finds the shard on disk.
-        assert SimulationCache(disk_dir=tmp_path).get(SPEC) is not None
-
-    def test_clear_forgets_negative_markers(self, tmp_path):
-        cache = SimulationCache(disk_dir=tmp_path)
-        assert cache.get(SPEC) is None
-        # Another process writes the shard behind our back.
-        SimulationCache(disk_dir=tmp_path).put(SPEC, _run_of(SPEC))
-        cache.clear()
-        assert cache.get(SPEC) is not None  # re-probes after clear()
-
 
 class TestSharedCache:
     def test_singleton(self):
@@ -278,27 +119,24 @@ class TestBatchLookup:
         assert batch[0].elapsed == cache.get(SPEC).elapsed
         assert batch[1] is None
 
-    def test_put_many_roundtrips_through_disk(self, tmp_path):
+    def test_put_many_roundtrips(self):
         run_a, run_b = _run_of(SPEC), _run_of(OTHER)
-        cache = SimulationCache(disk_dir=tmp_path)
+        cache = SimulationCache()
         cache.put_many([(SPEC, run_a), (OTHER, run_b)])
         assert cache.stats.puts == 2
-        # Both keys share a fingerprint: one shard file, not two writes.
-        assert len(list(tmp_path.glob("simcache-*.json"))) == 1
-        fresh = SimulationCache(disk_dir=tmp_path)
-        served = fresh.get_many([SPEC, OTHER])
+        served = cache.get_many([SPEC, OTHER])
         assert served[0].elapsed == run_a.elapsed
         assert served[1].elapsed == run_b.elapsed
-        assert fresh.stats.disk_hits == 2
+        assert cache.stats.hits == 2
 
-    def test_put_many_skips_keep_timeline(self, tmp_path):
+    def test_put_many_skips_keep_timeline(self):
         spec = RunSpec.for_app(
             MatMulApp, 600, 4, places=2, keep_timeline=True
         )
-        cache = SimulationCache(disk_dir=tmp_path)
+        cache = SimulationCache()
         cache.put_many([(spec, _run_of(SPEC))])
         assert cache.stats.puts == 0
-        assert list(tmp_path.glob("simcache-*.json")) == []
+        assert len(cache) == 0
 
     def test_duplicate_specs_in_one_batch_simulate_once(self):
         cache = SimulationCache()

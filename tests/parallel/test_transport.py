@@ -1,11 +1,11 @@
 """Slim result transport: wire-size wins, bit-identical results.
 
-The pool used to ship whole ``AppRun`` objects (each dragging a full
-``MetricsSnapshot``) back to the parent.  The slim path ships scalar
-``RunResult`` records plus one merged, compressed metrics delta per
-chunk.  These tests pin the two contracts: the IPC volume drops by an
-order of magnitude, and nothing observable changes — timings, metric
-totals, and (under ``keep_traces``) the trace output itself.
+Pool workers ship scalar ``RunResult`` records plus one merged,
+compressed metrics delta per task instead of whole ``AppRun`` objects
+(each dragging a full ``MetricsSnapshot``).  These tests pin the two
+contracts: the IPC volume drops by an order of magnitude, and nothing
+observable changes — timings, metric totals, and the trace output of
+``keep_timeline`` specs.
 """
 
 import pickle
@@ -15,11 +15,7 @@ import pytest
 from repro.apps import MatMulApp
 from repro.metrics.registry import scoped_registry
 from repro.parallel import RunResult, RunSpec, SweepExecutor
-from repro.parallel.runspec import (
-    execute_spec_batch,
-    execute_spec_batch_slim,
-    execute_spec_slim,
-)
+from repro.parallel.runspec import execute_spec_batch, execute_spec_batch_slim
 
 
 def _mm_specs(n=8):
@@ -43,30 +39,24 @@ class TestWireSize:
         )
 
     def test_single_spec_transport_smaller(self):
-        (spec,) = _mm_specs(1)
-        full = pickle.dumps(spec.execute())
-        slim = pickle.dumps(execute_spec_slim(spec))
+        specs = _mm_specs(1)
+        full = pickle.dumps(execute_spec_batch(list(specs)))
+        slim = pickle.dumps(execute_spec_batch_slim(list(specs)))
         assert len(slim) < len(full)
 
 
 class TestRunResult:
-    def test_roundtrip_preserves_scalars_and_metrics(self):
+    def test_roundtrip_preserves_scalars(self):
         (spec,) = _mm_specs(1)
         run = spec.execute()
-        back = RunResult.from_run(run).to_run()
+        back = pickle.loads(pickle.dumps(RunResult.from_run(run))).to_run()
         assert back.app == run.app
         assert back.elapsed == run.elapsed
         assert back.places == run.places
         assert back.tiles == run.tiles
         assert back.gflops == run.gflops
         assert back.engine == run.engine
-        assert back.metrics == run.metrics
-
-    def test_metrics_omitted_when_excluded(self):
-        (spec,) = _mm_specs(1)
-        result = RunResult.from_run(spec.execute(), include_metrics=False)
-        assert result.metrics_z is None
-        assert result.to_run().metrics is None
+        assert back.metrics is None  # shipped in the task's merged delta
 
 
 class TestParallelIdentity:
@@ -98,13 +88,6 @@ class TestParallelIdentity:
 
         assert counters(parallel) == counters(serial)
 
-    def test_keep_traces_executor_matches_serial(self):
-        specs = _mm_specs(4)
-        serial = SweepExecutor(jobs=1).map(specs)
-        full = SweepExecutor(jobs=2, keep_traces=True).map(specs)
-        for par, ser in zip(full, serial):
-            assert par.elapsed == ser.elapsed
-
 
 class TestKeepTraces:
     def test_keep_timeline_trace_bit_identical_across_transports(self):
@@ -112,17 +95,9 @@ class TestKeepTraces:
             MatMulApp, 3000, 36, places=4, keep_timeline=True
         )
         reference = pickle.dumps(spec.execute().timeline)
-        for kwargs in ({}, {"keep_traces": True}):
-            runs = SweepExecutor(jobs=2, **kwargs).map([spec])
-            assert runs[0].timeline is not None
-            assert pickle.dumps(runs[0].timeline) == reference
-
-    def test_keep_traces_restores_per_run_snapshots(self):
-        # 16 specs / 2 jobs forces chunked dispatch; the full transport
-        # still hands every run its own snapshot.
-        specs = _mm_specs(16)
-        runs = SweepExecutor(jobs=2, keep_traces=True).map(specs)
-        assert all(run.metrics is not None for run in runs)
+        runs = SweepExecutor(jobs=2).map([spec])
+        assert runs[0].timeline is not None
+        assert pickle.dumps(runs[0].timeline) == reference
 
     def test_chunked_slim_runs_drop_per_run_snapshots(self):
         # Chunked slim transport folds worker snapshots into one blob

@@ -129,6 +129,42 @@ class TestAutotune:
             assert result["evaluations"] == 2
 
 
+class TestOverCapacity:
+    def test_over_capacity_point_is_422_and_service_stays_up(self):
+        """An MM point whose buffers overflow the card (D 40000, T 16)
+        is the client's error on every route; the next in-capacity
+        request on the same service is answered."""
+
+        async def scenario():
+            with scoped_registry():
+                service = PredictionService(
+                    PredictionBackend(engine="hybrid"),
+                    ServeConfig(batch_window=0.0),
+                )
+                await service.start()
+                try:
+                    statuses = [
+                        (await handle_request(
+                            service, "POST", path,
+                            {"app": "mm", "D": 40000, **fields},
+                        ))[0]
+                        for path, fields in (
+                            ("/predict", {"T": 16, "P": 4}),
+                            ("/sweep", {"T": [16], "P": [4, 8]}),
+                            ("/autotune", {"T": [16], "P": [4, 8]}),
+                        )
+                    ]
+                    status, body = await handle_request(
+                        service, "POST", "/predict", {"app": "mm", "P": 4}
+                    )
+                finally:
+                    await service.stop()
+            assert statuses == [422, 422, 422]
+            assert status == 200 and body["elapsed_seconds"] > 0
+
+        asyncio.run(scenario())
+
+
 class TestLearnedBackend:
     def test_learned_point_query_zero_des(self):
         with scoped_registry() as registry:

@@ -15,11 +15,11 @@ from contextlib import asynccontextmanager
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DeviceMemoryError
+from repro.metrics.registry import scoped_registry
 from repro.serve import PredictionService, ServeConfig
 from repro.serve.api import parse_predict
 from repro.serve.http import HttpConfig, handle_request, serve_http
-from repro.serve.loadgen import _read_http_response
 
 
 class FakeBackend:
@@ -192,6 +192,20 @@ class TestStatusMapping:
 
         with_service(scenario, ServeConfig(batch_window=60.0))
 
+    def test_device_memory_error_422(self):
+        async def scenario(service, backend):
+            def overflow(specs):
+                raise DeviceMemoryError("device memory exhausted")
+
+            service.dispatch = overflow
+            status, body = await handle_request(
+                service, "POST", "/predict", {"app": "mm", "P": 4}
+            )
+            assert status == 422
+            assert "device memory" in body["error"]
+
+        with_service(scenario)
+
 
 @asynccontextmanager
 async def socket_server(config=None, http_config=None, backend=None):
@@ -231,6 +245,29 @@ def request_bytes(payload, path="/predict", connection=None,
 
 async def open_client(port):
     return await asyncio.open_connection("127.0.0.1", port)
+
+
+async def _read_http_response(reader):
+    """Parse one Content-Length-framed response; returns ``(status,
+    body, reusable)``, where ``reusable`` is False when the server
+    announced ``Connection: close``."""
+    status_line = await reader.readline()
+    if not status_line:
+        raise ConnectionError("server closed the connection")
+    status = int(status_line.split()[1])
+    headers = {}
+    while True:
+        line = await reader.readline()
+        if line in (b"\r\n", b"\n"):
+            break
+        if line == b"":
+            raise ConnectionError("server closed mid-headers")
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    length = int(headers.get("content-length", "0") or "0")
+    body = await reader.readexactly(length) if length else b""
+    reusable = headers.get("connection", "").lower() != "close"
+    return status, body, reusable
 
 
 class TestSocketSmoke:
@@ -284,6 +321,39 @@ class TestKeepAlive:
                 writer.close()
 
         asyncio.run(scenario())
+
+    @pytest.mark.parametrize("keep_alive", [True, False])
+    def test_connections_opened_per_request(self, keep_alive):
+        """Eight requests over one keep-alive connection open one
+        server-side connection; with ``Connection: close`` each request
+        opens its own."""
+
+        async def scenario():
+            with scoped_registry() as registry:
+                async with socket_server() as (service, port):
+                    writer = None
+                    for p in range(1, 9):
+                        if writer is None:
+                            reader, writer = await open_client(port)
+                        writer.write(request_bytes(
+                            {"app": "mm", "P": p},
+                            connection=None if keep_alive else "close",
+                        ))
+                        await writer.drain()
+                        status, _, reusable = await _read_http_response(
+                            reader
+                        )
+                        assert status == 200 and reusable == keep_alive
+                        if not reusable:
+                            writer.close()
+                            writer = None
+                    if writer is not None:
+                        writer.close()
+                    return registry.snapshot().counter_value(
+                        "serve.http.connections"
+                    )
+
+        assert asyncio.run(scenario()) == (1 if keep_alive else 8)
 
     def test_pipelined_requests_answered_in_order(self):
         async def scenario():

@@ -2,12 +2,14 @@
 
 Everything except the end-to-end case is fork-free: socket plans are
 bound and closed in-process, the metrics hub is driven with hand-built
-registries, and the respawn tracker runs on an explicit clock.  One
-subprocess test boots ``python -m repro serve --workers 2`` for real
-and checks request fan-out, aggregated ``/metrics`` and a clean
-SIGTERM drain.
+registries, and the respawn tracker runs on an explicit clock.  Two
+subprocess tests boot ``python -m repro serve`` for real: one checks a
+2-worker pool's request fan-out, aggregated ``/metrics`` and a clean
+SIGTERM drain; one times it against a single process on CPU-bound
+load.
 """
 
+import http.client
 import json
 import os
 import re
@@ -15,6 +17,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 import urllib.request
 from pathlib import Path
@@ -157,40 +160,110 @@ READY_RE = re.compile(
 )
 
 
+def spawn_server(*args):
+    """``python -m repro serve`` on an ephemeral localhost port."""
+    return subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve",
+            "--host", "127.0.0.1", "--port", "0", *args,
+        ],
+        cwd=REPO_ROOT,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env={
+            **os.environ,
+            "PYTHONPATH": str(REPO_ROOT / "src"),
+            "PYTHONUNBUFFERED": "1",
+        },
+    )
+
+
+def await_ready(process, output):
+    """Read the server's output up to its ready line; returns the
+    ``(host, port)`` it listens on."""
+    deadline = time.monotonic() + 60
+    assert process.stdout is not None
+    while time.monotonic() < deadline:
+        line = process.stdout.readline()
+        assert line, f"server died early (rc={process.poll()})"
+        output.append(line)
+        match = READY_RE.search(line)
+        if match:
+            return match["host"], int(match["port"])
+    raise AssertionError("no ready line")
+
+
+def stop_servers(*processes):
+    """SIGTERM every server at once (a pool drains its workers), SIGKILL
+    any that stalls; returns each one's exit code and remaining
+    output."""
+    for process in processes:
+        if process.poll() is None:
+            process.send_signal(signal.SIGTERM)
+    stopped = []
+    for process in processes:
+        try:
+            rc = process.wait(timeout=60)
+        except subprocess.TimeoutExpired:
+            process.kill()
+            rc = process.wait(timeout=10)
+        stopped.append((rc, process.stdout.read() or ""))
+    return stopped
+
+
+def drive_round(addr, round_index):
+    """One round of 28 distinct CPU-bound points from 8 client threads;
+    returns its wall time.  Each request opens its own connection, so
+    the kernel spreads requests, not 8 long-lived connections, over a
+    pool's workers."""
+    payloads = iter([
+        {"app": "mm", "P": p, "T": 64, "D": 6000 + 24 * round_index}
+        for p in range(1, 29)
+    ])
+    lock = threading.Lock()
+    statuses = []
+
+    def client():
+        while True:
+            with lock:
+                payload = next(payloads, None)
+            if payload is None:
+                return
+            conn = http.client.HTTPConnection(*addr, timeout=60)
+            try:
+                conn.request(
+                    "POST", "/predict", json.dumps(payload),
+                    {"Content-Type": "application/json"},
+                )
+                response = conn.getresponse()
+                response.read()
+                statuses.append(response.status)
+            finally:
+                conn.close()
+
+    threads = [threading.Thread(target=client) for _ in range(8)]
+    start = time.perf_counter()
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    elapsed = time.perf_counter() - start
+    assert not any(thread.is_alive() for thread in threads)
+    assert statuses == [200] * 28
+    return elapsed
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestPreforkEndToEnd:
     def test_two_workers_serve_and_drain(self):
-        process = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "serve",
-                "--host", "127.0.0.1", "--port", "0",
-                "--window-ms", "1", "--engine", "model",
-                "--workers", "2",
-            ],
-            cwd=REPO_ROOT,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-            env={
-                **os.environ,
-                "PYTHONPATH": str(REPO_ROOT / "src"),
-                "PYTHONUNBUFFERED": "1",
-            },
+        process = spawn_server(
+            "--window-ms", "1", "--engine", "model", "--workers", "2"
         )
         output = []
         try:
-            base = None
-            deadline = time.monotonic() + 60
-            assert process.stdout is not None
-            while time.monotonic() < deadline:
-                line = process.stdout.readline()
-                assert line, f"server died early (rc={process.poll()})"
-                output.append(line)
-                match = READY_RE.search(line)
-                if match:
-                    base = f"http://{match['host']}:{match['port']}"
-                    break
-            assert base is not None, "no ready line"
+            host, port = await_ready(process, output)
+            base = f"http://{host}:{port}"
 
             # Several fresh connections: with SO_REUSEPORT the kernel
             # spreads them over the pool; either way all must answer.
@@ -211,14 +284,42 @@ class TestPreforkEndToEnd:
                 metrics = resp.read().decode()
             assert "serve.workers:" in metrics
             assert "serve.worker.requests{worker=" in metrics
-
-            process.send_signal(signal.SIGTERM)
-            rc = process.wait(timeout=60)
-            remainder = process.stdout.read() or ""
-            output.append(remainder)
-            assert rc == 0, "".join(output)
-            assert "drained, bye" in remainder
         finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(timeout=10)
+            ((rc, remainder),) = stop_servers(process)
+        output.append(remainder)
+        assert rc == 0, "".join(output)
+        assert "drained, bye" in remainder
+
+    def test_two_workers_outrun_one_on_cpu_bound_load(self):
+        """28 uncertified MM points (sim engine, a fresh D each round,
+        so no worker serves a cached run) from 8 closed-loop clients:
+        two workers must beat one process by 1.2x.  Rounds alternate
+        between the two servers so a host speed change hits both, and
+        each side's best round counts: noise only ever adds time."""
+        cores = os.cpu_count() or 1
+        if cores < 2:
+            pytest.skip(
+                f"cpu_count is {cores}: two workers cannot outrun one "
+                "process on CPU-bound load"
+            )
+        servers = [
+            spawn_server(
+                "--window-ms", "1", "--engine", "sim",
+                "--workers", str(workers),
+            )
+            for workers in (1, 2)
+        ]
+        try:
+            single, pool = (await_ready(s, []) for s in servers)
+            times = {single: [], pool: []}
+            for round_index in range(4):
+                for addr in (single, pool):
+                    times[addr].append(drive_round(addr, round_index))
+        finally:
+            stop_servers(*servers)
+        speedup = min(times[single]) / min(times[pool])
+        assert speedup >= 1.2, (
+            f"2 workers only {speedup:.2f}x over 1 process at cpu_count "
+            f"{cores}: {times}"
+        )
+

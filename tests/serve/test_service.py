@@ -54,6 +54,33 @@ class TestSyncDriver:
         assert all(t.done for t in tickets)
         assert driver.batcher.idle()
 
+    def test_batched_coalesces_the_wave(self):
+        """The fig9-mm wave (D 6000, T 144, P 1..56) arriving inside
+        one window dispatches once, with all 56 specs, shedding none."""
+        engine = FakeEngine()
+        driver = SyncDriver(engine, ServeConfig(batch_window=0.005))
+        tickets = [
+            driver.submit("predict", [mm_spec(p)]) for p in range(1, 57)
+        ]
+        driver.run_until_idle()
+        assert [len(batch) for batch in engine.batches] == [56]
+        assert all(t.error is None for t in tickets)
+        assert [t.results for t in tickets] == [
+            [float(p)] for p in range(1, 57)
+        ]
+
+    def test_sequential_dispatches_one_batch_per_request(self):
+        """The same wave sent one request at a time dispatches 56
+        times."""
+        engine = FakeEngine()
+        config = ServeConfig(batch_window=0.005)
+        driver = SyncDriver(engine, config)
+        for p in range(1, 57):
+            ticket = driver.submit("predict", [mm_spec(p)])
+            driver.advance(config.batch_window)
+            assert ticket.results == [float(p)]
+        assert [len(batch) for batch in engine.batches] == [1] * 56
+
     def test_dispatch_failure_fails_every_ticket(self):
         driver = SyncDriver(FakeEngine(fail=True), ServeConfig(
             batch_window=0.0

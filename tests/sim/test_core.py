@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Environment, Event
+from repro.sim import Environment, Event, Resource
 from repro.sim.core import EmptySchedule, EventAlreadyTriggered
 
 
@@ -169,6 +169,46 @@ class TestEnvironmentRun:
             )
         env.run()
         assert stamps == sorted(stamps)
+
+
+def _timeout_churn(env):
+    for i in range(20_000):
+        env.timeout(float(i % 97))
+
+
+def _process_spawn(env):
+    def proc():
+        yield env.timeout(1.0)
+        yield env.timeout(1.0)
+
+    for _ in range(5_000):
+        env.process(proc())
+
+
+def _resource_contention(env):
+    res = Resource(env, capacity=2)
+
+    def worker():
+        with res.request() as req:
+            yield req
+            yield env.timeout(0.001)
+
+    for _ in range(3_000):
+        env.process(worker())
+
+
+@pytest.mark.parametrize(
+    "load, end",
+    [(_timeout_churn, 96.0), (_process_spawn, 2.0),
+     (_resource_contention, 1.5)],
+)
+def test_heavy_load_ends_at_known_time(load, end):
+    """Heap churn, process creation and queueing on one resource at
+    scale: each run ends at its closed-form time."""
+    env = Environment()
+    load(env)
+    env.run()
+    assert round(env.now, 6) == end
 
 
 class TestEventComposition:
