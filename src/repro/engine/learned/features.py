@@ -206,10 +206,12 @@ class FeatureExtractor:
         (:func:`repro.workload.ports.workload_of`), keeping their own
         app name and tile count on the envelope.  Raises
         :class:`~repro.errors.ModelUnsupportedError` outside the
-        learned tier's surface (same refusals as the analytic path,
-        plus multi-device runs — the feature map is single-device).
+        learned tier's surface (same refusals as the analytic path —
+        including a point whose buffers overflow the card — plus
+        multi-device runs: the feature map is single-device).
         """
         from repro.workload import WorkloadApp, WorkloadSpec
+        from repro.workload.compile import check_capacity
         from repro.workload.ports import workload_of
 
         if spec.streams_per_place != 1:
@@ -255,6 +257,7 @@ class FeatureExtractor:
             app_name = app.name
             tiles = app.tiles
             flops = app.total_flops()
+        check_capacity(workload, self.spec.memory_bytes, None)
         return WorkloadPoint(
             features=self.features(workload, spec.places),
             app=app_name,

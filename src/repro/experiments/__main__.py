@@ -27,7 +27,6 @@ from repro.experiments import fig10_tile_sweep, fig11_multimic
 from repro.experiments import energy, future_overlap, heuristics_search
 from repro.experiments import microprobes, protocol, streams_per_place
 from repro.experiments import workload_sweep
-from repro.experiments.runner import ExperimentResult
 from repro.metrics import (
     RunManifest,
     git_describe,
@@ -76,39 +75,14 @@ example:
 """
 
 
-def _resolve_engine_arg(args):
-    """The ``engine=`` value the executor and figures receive.
+def _build_executor(args):
+    """The invocation's one executor.
 
-    ``--engine-store`` turns ``hybrid`` and ``learned`` into engine
-    instances so the persistent certified-family store rides along
-    wherever the engine goes (the learned tier keeps it on its hybrid
-    fallback).  The probe figures resolve an instance by its ``name``.
-    """
-    store = getattr(args, "engine_store", None)
-    if store and args.engine in ("hybrid", "learned"):
-        from repro.engine import HybridEngine, LearnedEngine
-
-        cls = HybridEngine if args.engine == "hybrid" else LearnedEngine
-        return cls(store=store)
-    return args.engine
-
-
-def _build_executor(args, engine_arg):
-    """One shared executor when any resilience flag is in play.
-
-    With plain ``--jobs`` the per-figure executors are kept (their
-    behaviour predates the resilience layer and is unchanged); retries,
-    checkpoints and fault plans need a single executor whose stats and
+    Every engine-aware figure evaluates through it, so ``--jobs``, the
+    engine (with ``--engine-store``), retries, the checkpoint, the fault
+    plan and ``--on-error`` reach each figure alike, and its stats and
     checkpoint file span the whole invocation.
     """
-    if (
-        args.retries is None
-        and args.checkpoint is None
-        and args.fault_plan is None
-        and args.on_error == "raise"
-        and args.engine == "sim"
-    ):
-        return None
     from repro.faults import FaultPlan
     from repro.parallel import (
         RetryPolicy,
@@ -132,7 +106,7 @@ def _build_executor(args, engine_arg):
             FaultPlan.parse(args.fault_plan) if args.fault_plan else None
         ),
         on_error=args.on_error,
-        engine=engine_arg,
+        engine=args.engine,
         engine_store=args.engine_store,
     )
 
@@ -258,8 +232,7 @@ def main(argv: list[str] | None = None) -> int:
 
     names = args.figures or list(EXPERIMENTS)
     with scoped_registry() as registry:
-        engine_arg = _resolve_engine_arg(args)
-        executor = _build_executor(args, engine_arg)
+        executor = _build_executor(args)
         failed = 0
         experiments: list[dict] = []
         with profile_capture(enabled=args.profile) as profiled:
@@ -267,12 +240,8 @@ def main(argv: list[str] | None = None) -> int:
                 run_fn = EXPERIMENTS[name]
                 params = inspect.signature(run_fn).parameters
                 kwargs: dict[str, object] = {"fast": not args.full}
-                if executor is not None and "executor" in params:
+                if "executor" in params:
                     kwargs["executor"] = executor
-                elif "jobs" in params:
-                    kwargs["jobs"] = args.jobs
-                if args.engine != "sim" and "engine" in params:
-                    kwargs["engine"] = engine_arg
                 if args.apps and "apps" in params:
                     kwargs["apps"] = args.apps
                 if args.workload and "workload" in params:
@@ -305,8 +274,7 @@ def main(argv: list[str] | None = None) -> int:
                     if not result.all_checks_pass:
                         failed += 1
                 print(f"[{name} finished in {elapsed:.1f}s]\n")
-        if executor is not None:
-            print(f"[executor: {executor.stats.summary()}]")
+        print(f"[executor: {executor.stats.summary()}]")
         manifest_path = _write_manifest(
             args, names, registry, experiments, profiled.get("profile")
         )
@@ -351,12 +319,3 @@ def _write_manifest(args, names, registry, experiments, profile):
 
 if __name__ == "__main__":
     sys.exit(main())
-
-
-def run_all(fast: bool = True) -> list[ExperimentResult]:
-    """Programmatic battery: every panel of every figure."""
-    results: list[ExperimentResult] = []
-    for run_fn in EXPERIMENTS.values():
-        outcome = run_fn(fast=fast)
-        results.extend(outcome if isinstance(outcome, list) else [outcome])
-    return results

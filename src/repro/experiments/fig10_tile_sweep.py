@@ -24,26 +24,18 @@ from repro.apps import (
     SradApp,
 )
 from repro.errors import ExperimentError
-from repro.experiments.runner import ExperimentResult
-from repro.parallel import RunSpec, SweepExecutor, shared_cache
-
-
-def _executor(executor, jobs, engine: str = "sim") -> SweepExecutor:
-    if executor is not None:
-        return executor
-    return SweepExecutor(jobs=jobs, cache=shared_cache(), engine=engine)
+from repro.experiments.runner import ExperimentResult, default_executor
+from repro.parallel import RunSpec
 
 
 def _sweep(result, make_spec, tiles, metric, executor):
-    runs = executor.map([make_spec(t) for t in tiles])
+    runs = default_executor(executor).map([make_spec(t) for t in tiles])
     values = [metric(run) for run in runs]
     result.add_series(result.y_label, values)
     return dict(zip(tiles, values))
 
 
-def run_mm(
-    fast: bool = True, jobs: int = 1, executor=None, engine: str = "sim"
-) -> ExperimentResult:
+def run_mm(fast: bool = True, executor=None) -> ExperimentResult:
     tiles = [1, 4, 16, 144, 400] if fast else [1, 4, 9, 16, 25, 36, 100, 144, 225, 400]
     result = ExperimentResult(
         experiment="fig10a",
@@ -57,7 +49,7 @@ def run_mm(
         lambda t: RunSpec.for_app(MatMulApp, 6000, t, places=4),
         tiles,
         lambda r: r.gflops,
-        _executor(executor, jobs, engine),
+        executor,
     )
     result.add_check(
         "T=1 starves three of four partitions (T=4 is >2x better)",
@@ -70,9 +62,7 @@ def run_mm(
     return result
 
 
-def run_cf(
-    fast: bool = True, jobs: int = 1, executor=None, engine: str = "sim"
-) -> ExperimentResult:
+def run_cf(fast: bool = True, executor=None) -> ExperimentResult:
     tiles = [4, 16, 100, 400] if fast else [4, 9, 16, 25, 36, 64, 100, 144, 225, 256, 400]
     result = ExperimentResult(
         experiment="fig10b",
@@ -86,7 +76,7 @@ def run_cf(
         lambda t: RunSpec.for_app(CholeskyApp, 9600, t, places=4),
         tiles,
         lambda r: r.gflops,
-        _executor(executor, jobs, engine),
+        executor,
     )
     result.add_check(
         "CF needs many tiles: T=100 beats T=4 by >2x (DAG parallelism)",
@@ -95,9 +85,7 @@ def run_cf(
     return result
 
 
-def run_kmeans(
-    fast: bool = True, jobs: int = 1, executor=None, engine: str = "sim"
-) -> ExperimentResult:
+def run_kmeans(fast: bool = True, executor=None) -> ExperimentResult:
     tiles = [1, 2, 4, 16, 56, 224] if fast else [1, 2, 4, 8, 16, 20, 28, 32, 56, 112, 224]
     iterations = 10 if fast else 100
     result = ExperimentResult(
@@ -114,7 +102,7 @@ def run_kmeans(
         ),
         tiles,
         lambda r: r.elapsed,
-        _executor(executor, jobs, engine),
+        executor,
     )
     result.add_check(
         "fastest at T=4 (= P): load balance without extra invocations",
@@ -123,9 +111,7 @@ def run_kmeans(
     return result
 
 
-def run_hotspot(
-    fast: bool = True, jobs: int = 1, executor=None, engine: str = "sim"
-) -> ExperimentResult:
+def run_hotspot(fast: bool = True, executor=None) -> ExperimentResult:
     tiles = [1, 4, 16, 64, 256, 1024] if fast else [1, 4, 16, 64, 256, 1024, 4096]
     iterations = 10 if fast else 50
     result = ExperimentResult(
@@ -142,7 +128,7 @@ def run_hotspot(
         ),
         tiles,
         lambda r: r.elapsed,
-        _executor(executor, jobs, engine),
+        executor,
     )
     interior_best = min(v for t, v in by_t.items() if 1 < t < tiles[-1])
     result.add_check(
@@ -152,9 +138,7 @@ def run_hotspot(
     return result
 
 
-def run_nn(
-    fast: bool = True, jobs: int = 1, executor=None, engine: str = "sim"
-) -> ExperimentResult:
+def run_nn(fast: bool = True, executor=None) -> ExperimentResult:
     tiles = [1, 4, 32, 256, 2048] if fast else [2**k for k in range(12)]
     result = ExperimentResult(
         experiment="fig10e",
@@ -168,7 +152,7 @@ def run_nn(
         lambda t: RunSpec.for_app(NNApp, 5242880, t, places=4),
         tiles,
         lambda r: r.elapsed * 1e3,
-        _executor(executor, jobs, engine),
+        executor,
     )
     result.add_check(
         "transfer-bound: T=1 within 1.5x of T=4",
@@ -181,9 +165,7 @@ def run_nn(
     return result
 
 
-def run_srad(
-    fast: bool = True, jobs: int = 1, executor=None, engine: str = "sim"
-) -> ExperimentResult:
+def run_srad(fast: bool = True, executor=None) -> ExperimentResult:
     tiles = [1, 4, 25, 100, 400, 625] if fast else [1, 4, 16, 25, 100, 400, 625, 2500]
     iterations = 5 if fast else 100
     result = ExperimentResult(
@@ -200,7 +182,7 @@ def run_srad(
         ),
         tiles,
         lambda r: r.elapsed,
-        _executor(executor, jobs, engine),
+        executor,
     )
     interior_best = min(v for t, v in by_t.items() if 1 < t < tiles[-1])
     result.add_check(
@@ -222,11 +204,10 @@ PANELS = {
 
 
 def run(
-    fast: bool = True, jobs: int = 1, executor=None, apps=None,
-    engine: str = "sim",
+    fast: bool = True, executor=None, apps=None
 ) -> list[ExperimentResult]:
     """All panels, or — with ``apps`` — a subset by panel name."""
-    executor = _executor(executor, jobs, engine)
+    executor = default_executor(executor)
     names = list(PANELS) if apps is None else list(apps)
     unknown = [a for a in names if a not in PANELS]
     if unknown:

@@ -9,11 +9,11 @@ traffic and inter-domain synchronisation.
 from __future__ import annotations
 
 from repro.apps import CholeskyApp
-from repro.experiments.runner import ExperimentResult
-from repro.metrics import get_registry
+from repro.experiments.runner import ExperimentResult, default_executor
+from repro.parallel import RunSpec
 
 
-def run(fast: bool = True, engine: str = "sim") -> ExperimentResult:
+def run(fast: bool = True, executor=None) -> ExperimentResult:
     datasets = [9600, 14000] if fast else [14000, 16000]
     tiles = 100
     result = ExperimentResult(
@@ -23,39 +23,16 @@ def run(fast: bool = True, engine: str = "sim") -> ExperimentResult:
         x=[f"{d}^2" for d in datasets],
         y_label="GFLOPS",
     )
-    direct_runs = get_registry().counter(
-        "experiment.direct_runs", experiment="fig11"
-    )
-    if engine != "sim":
-        # The analytic predictor covers multi-device Cholesky, so the
-        # engine path goes through the executor (one spec per bar).
-        from repro.parallel import RunSpec, SweepExecutor, shared_cache
-
-        executor = SweepExecutor(cache=shared_cache(), engine=engine)
-        specs = []
-        for d in datasets:
-            specs.append(
-                RunSpec.for_app(CholeskyApp, d, tiles, places=4)
-            )
-            specs.append(
-                RunSpec.for_app(
-                    CholeskyApp, d, tiles, places=8, num_devices=2
-                )
-            )
-        runs = executor.map(specs)
-        one = [r.gflops for r in runs[0::2]]
-        two = [r.gflops for r in runs[1::2]]
-        projected = [2 * g for g in one]
-    else:
-        one, two, projected = [], [], []
-        for d in datasets:
-            app = CholeskyApp(d, tiles)
-            run_one = app.run(places=4, num_devices=1)
-            run_two = app.run(places=8, num_devices=2)
-            direct_runs.inc(2)
-            one.append(run_one.gflops)
-            two.append(run_two.gflops)
-            projected.append(2 * run_one.gflops)
+    specs = []
+    for d in datasets:
+        specs.append(RunSpec.for_app(CholeskyApp, d, tiles, places=4))
+        specs.append(
+            RunSpec.for_app(CholeskyApp, d, tiles, places=8, num_devices=2)
+        )
+    runs = default_executor(executor).map(specs)
+    one = [r.gflops for r in runs[0::2]]
+    two = [r.gflops for r in runs[1::2]]
+    projected = [2 * g for g in one]
     result.add_series("1-mic", one)
     result.add_series("2-mics", two)
     result.add_series("projected", projected)

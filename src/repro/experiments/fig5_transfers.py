@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from repro.apps.hbench import HBench, TransferPattern
 from repro.experiments.probe_engine import probe_series
-from repro.experiments.runner import ExperimentResult
+from repro.experiments.runner import ExperimentResult, default_executor
 from repro.metrics import get_registry
 from repro.util.units import MS
 
 
-def run(fast: bool = True, engine: str = "sim") -> ExperimentResult:
+def run(fast: bool = True, executor=None) -> ExperimentResult:
+    executor = default_executor(executor)
     hb = HBench()
     total = 16
     xs = list(range(0, total + 1, 2 if fast else 1))
@@ -35,7 +36,7 @@ def run(fast: bool = True, engine: str = "sim") -> ExperimentResult:
         times = [
             t / MS
             for t in probe_series(
-                engine,
+                executor,
                 xs,
                 lambda x: hb.transfer_time(*pattern.blocks(x, total)),
                 lambda x: hbench_transfer_model(

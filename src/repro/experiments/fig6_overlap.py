@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from repro.apps.hbench import HBench
 from repro.experiments.probe_engine import probe_series
-from repro.experiments.runner import ExperimentResult
+from repro.experiments.runner import ExperimentResult, default_executor
 from repro.metrics import get_registry
 from repro.util.units import MS
 
 
-def run(fast: bool = True, engine: str = "sim") -> ExperimentResult:
+def run(fast: bool = True, executor=None) -> ExperimentResult:
+    executor = default_executor(executor)
     hb = HBench()
     xs = list(range(20, 61, 10 if fast else 5))
     get_registry().counter(
@@ -39,7 +40,7 @@ def run(fast: bool = True, engine: str = "sim") -> ExperimentResult:
     streamed = [
         t / MS
         for t in probe_series(
-            engine,
+            executor,
             xs,
             hb.streamed_time,
             lambda i: hbench_streamed_model(hb, i),

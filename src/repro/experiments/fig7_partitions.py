@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from repro.apps.hbench import HBench
 from repro.experiments.probe_engine import probe_series
-from repro.experiments.runner import ExperimentResult
+from repro.experiments.runner import ExperimentResult, default_executor
 from repro.metrics import get_registry
 from repro.util.units import MS
 
 
-def run(fast: bool = True, engine: str = "sim") -> ExperimentResult:
+def run(fast: bool = True, executor=None) -> ExperimentResult:
+    executor = default_executor(executor)
     hb = HBench()
     partitions = [1, 2, 4, 8, 16, 32, 64, 128]
     get_registry().counter(
@@ -38,7 +39,7 @@ def run(fast: bool = True, engine: str = "sim") -> ExperimentResult:
     times = [
         t / MS
         for t in probe_series(
-            engine,
+            executor,
             partitions,
             lambda p: hb.partition_sweep_time(
                 p, nblocks=128, iterations=iterations
@@ -51,7 +52,7 @@ def run(fast: bool = True, engine: str = "sim") -> ExperimentResult:
     ]
     ref = (
         probe_series(
-            engine,
+            executor,
             [iterations],
             hb.reference_time,
             lambda i: hbench_reference_model(hb, i),

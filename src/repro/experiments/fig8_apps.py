@@ -27,14 +27,8 @@ from repro.apps import (
     SradApp,
 )
 from repro.errors import ExperimentError
-from repro.experiments.runner import ExperimentResult
-from repro.parallel import RunSpec, SweepExecutor, is_failed, shared_cache
-
-
-def _executor(executor, jobs, engine: str = "sim") -> SweepExecutor:
-    if executor is not None:
-        return executor
-    return SweepExecutor(jobs=jobs, cache=shared_cache(), engine=engine)
+from repro.experiments.runner import ExperimentResult, default_executor
+from repro.parallel import RunSpec, is_failed
 
 
 def _batched_best(executor, base_specs, candidate_groups):
@@ -67,9 +61,7 @@ def _improvement(base: float, streamed: float) -> float:
     return 100.0 * (base - streamed) / base
 
 
-def run_mm(
-    fast: bool = True, jobs: int = 1, executor=None, engine: str = "sim"
-) -> ExperimentResult:
+def run_mm(fast: bool = True, executor=None) -> ExperimentResult:
     datasets = [2000, 4000, 6000] if fast else [2000, 4000, 6000, 8000, 10000, 12000]
     result = ExperimentResult(
         experiment="fig8a",
@@ -90,7 +82,7 @@ def run_mm(
         for d in datasets
     ]
     base_runs, best_runs = _batched_best(
-        _executor(executor, jobs, engine), base_specs, candidate_groups
+        default_executor(executor), base_specs, candidate_groups
     )
     base = [run.gflops for run in base_runs]
     streamed = [run.gflops for run in best_runs]
@@ -103,9 +95,7 @@ def run_mm(
     return result
 
 
-def run_cf(
-    fast: bool = True, jobs: int = 1, executor=None, engine: str = "sim"
-) -> ExperimentResult:
+def run_cf(fast: bool = True, executor=None) -> ExperimentResult:
     datasets = [4800, 9600] if fast else [7200, 9600, 12000, 14400, 16800, 19200]
     result = ExperimentResult(
         experiment="fig8b",
@@ -125,7 +115,7 @@ def run_cf(
         for d in datasets
     ]
     base_runs, best_runs = _batched_best(
-        _executor(executor, jobs, engine), base_specs, candidate_groups
+        default_executor(executor), base_specs, candidate_groups
     )
     base = [run.gflops for run in base_runs]
     streamed = [run.gflops for run in best_runs]
@@ -145,9 +135,7 @@ def run_cf(
     return result
 
 
-def run_kmeans(
-    fast: bool = True, jobs: int = 1, executor=None, engine: str = "sim"
-) -> ExperimentResult:
+def run_kmeans(fast: bool = True, executor=None) -> ExperimentResult:
     datasets = (
         [140000, 560000, 1120000]
         if fast
@@ -175,7 +163,7 @@ def run_kmeans(
                 KmeansApp, d, tiles, places=places, iterations=iterations
             )
         )
-    runs = _executor(executor, jobs, engine).map(specs)
+    runs = default_executor(executor).map(specs)
     base = [run.elapsed for run in runs[0::2]]
     streamed = [run.elapsed for run in runs[1::2]]
     result.add_series("w/o", base)
@@ -187,9 +175,7 @@ def run_kmeans(
     return result
 
 
-def run_hotspot(
-    fast: bool = True, jobs: int = 1, executor=None, engine: str = "sim"
-) -> ExperimentResult:
+def run_hotspot(fast: bool = True, executor=None) -> ExperimentResult:
     datasets = [2048, 4096, 8192] if fast else [1024, 2048, 4096, 8192, 16384]
     iterations = 10 if fast else 50
     result = ExperimentResult(
@@ -216,7 +202,7 @@ def run_hotspot(
                 iterations=iterations,
             )
         )
-    runs = _executor(executor, jobs, engine).map(specs)
+    runs = default_executor(executor).map(specs)
     base = [run.elapsed for run in runs[0::2]]
     streamed = [run.elapsed for run in runs[1::2]]
     result.add_series("w/o", base)
@@ -237,9 +223,7 @@ def run_hotspot(
     return result
 
 
-def run_nn(
-    fast: bool = True, jobs: int = 1, executor=None, engine: str = "sim"
-) -> ExperimentResult:
+def run_nn(fast: bool = True, executor=None) -> ExperimentResult:
     datasets = (
         [131072, 524288, 2097152]
         if fast
@@ -256,7 +240,7 @@ def run_nn(
     for d in datasets:
         specs.append(RunSpec.for_app(NNApp, d, 1, places=1))
         specs.append(RunSpec.for_app(NNApp, d, 4, places=4))
-    runs = _executor(executor, jobs, engine).map(specs)
+    runs = default_executor(executor).map(specs)
     base = [run.elapsed * 1e3 for run in runs[0::2]]
     streamed = [run.elapsed * 1e3 for run in runs[1::2]]
     result.add_series("w/o", base)
@@ -278,9 +262,7 @@ def run_nn(
     return result
 
 
-def run_srad(
-    fast: bool = True, jobs: int = 1, executor=None, engine: str = "sim"
-) -> ExperimentResult:
+def run_srad(fast: bool = True, executor=None) -> ExperimentResult:
     datasets = [1000, 4000, 10000] if fast else [1000, 2000, 4000, 5000, 10000]
     iterations = 10 if fast else 100
     result = ExperimentResult(
@@ -300,7 +282,7 @@ def run_srad(
                 SradApp, d, 100, places=4, iterations=iterations
             )
         )
-    runs = _executor(executor, jobs, engine).map(specs)
+    runs = default_executor(executor).map(specs)
     base = [run.elapsed for run in runs[0::2]]
     streamed = [run.elapsed for run in runs[1::2]]
     result.add_series("w/o", base)
@@ -328,11 +310,10 @@ PANELS = {
 
 
 def run(
-    fast: bool = True, jobs: int = 1, executor=None, apps=None,
-    engine: str = "sim",
+    fast: bool = True, executor=None, apps=None
 ) -> list[ExperimentResult]:
     """All panels, or — with ``apps`` — a subset by panel name."""
-    executor = _executor(executor, jobs, engine)
+    executor = default_executor(executor)
     names = list(PANELS) if apps is None else list(apps)
     unknown = [a for a in names if a not in PANELS]
     if unknown:

@@ -8,9 +8,9 @@ and the interior optimum (SRAD).
 
 Every panel is a sweep of independent runs, so all of them go through
 the :mod:`repro.parallel` executor: one :class:`RunSpec` per partition
-count (fast and full mode share the same code path), fanned over
-``jobs`` worker processes and memoized in the shared simulation cache.
-With ``engine="model"``/``"hybrid"`` each panel's partition sweep is a
+count (fast and full mode share the same code path), fanned over the
+executor's worker processes and memoized in the shared simulation cache.
+Under a model/hybrid executor engine each panel's partition sweep is a
 single spec family, so the whole batch is answered by one grid
 evaluation (:mod:`repro.engine.grid`) before any pool dispatch.
 """
@@ -26,8 +26,8 @@ from repro.apps import (
     SradApp,
 )
 from repro.errors import ExperimentError
-from repro.experiments.runner import ExperimentResult
-from repro.parallel import RunSpec, SweepExecutor, shared_cache
+from repro.experiments.runner import ExperimentResult, default_executor
+from repro.parallel import RunSpec
 
 FAST_PARTITIONS = [1, 2, 3, 4, 7, 8, 13, 14, 16, 28, 33, 37, 56]
 FULL_PARTITIONS = list(range(1, 57))
@@ -37,22 +37,14 @@ def _partitions(fast: bool) -> list[int]:
     return FAST_PARTITIONS if fast else FULL_PARTITIONS
 
 
-def _executor(executor, jobs, engine: str = "sim") -> SweepExecutor:
-    if executor is not None:
-        return executor
-    return SweepExecutor(jobs=jobs, cache=shared_cache(), engine=engine)
-
-
 def _sweep(result, make_spec, partitions, metric, executor):
-    runs = executor.map([make_spec(p) for p in partitions])
+    runs = default_executor(executor).map([make_spec(p) for p in partitions])
     values = [metric(run) for run in runs]
     result.add_series(result.y_label, values)
     return dict(zip(partitions, values))
 
 
-def run_mm(
-    fast: bool = True, jobs: int = 1, executor=None, engine: str = "sim"
-) -> ExperimentResult:
+def run_mm(fast: bool = True, executor=None) -> ExperimentResult:
     ps = _partitions(fast)
     result = ExperimentResult(
         experiment="fig9a",
@@ -66,7 +58,7 @@ def run_mm(
         lambda p: RunSpec.for_app(MatMulApp, 6000, 144, places=p),
         ps,
         lambda r: r.gflops,
-        _executor(executor, jobs, engine),
+        executor,
     )
     result.add_check(
         "aligned counts beat misaligned neighbours (4>3, 14>13, 14>16)",
@@ -75,9 +67,7 @@ def run_mm(
     return result
 
 
-def run_cf(
-    fast: bool = True, jobs: int = 1, executor=None, engine: str = "sim"
-) -> ExperimentResult:
+def run_cf(fast: bool = True, executor=None) -> ExperimentResult:
     ps = _partitions(fast)
     result = ExperimentResult(
         experiment="fig9b",
@@ -91,7 +81,7 @@ def run_cf(
         lambda p: RunSpec.for_app(CholeskyApp, 9600, 144, places=p),
         ps,
         lambda r: r.gflops,
-        _executor(executor, jobs, engine),
+        executor,
     )
     result.add_check(
         "aligned counts beat misaligned neighbours (4>3, 14>13)",
@@ -100,9 +90,7 @@ def run_cf(
     return result
 
 
-def run_kmeans(
-    fast: bool = True, jobs: int = 1, executor=None, engine: str = "sim"
-) -> ExperimentResult:
+def run_kmeans(fast: bool = True, executor=None) -> ExperimentResult:
     ps = _partitions(fast)
     iterations = 10 if fast else 100
     result = ExperimentResult(
@@ -119,7 +107,7 @@ def run_kmeans(
         ),
         ps,
         lambda r: r.elapsed,
-        _executor(executor, jobs, engine),
+        executor,
     )
     divisors = [p for p in (1, 2, 4, 7, 8, 14, 28, 56) if p in by_p]
     times = [by_p[p] for p in divisors]
@@ -130,9 +118,7 @@ def run_kmeans(
     return result
 
 
-def run_hotspot(
-    fast: bool = True, jobs: int = 1, executor=None, engine: str = "sim"
-) -> ExperimentResult:
+def run_hotspot(fast: bool = True, executor=None) -> ExperimentResult:
     ps = _partitions(fast)
     iterations = 10 if fast else 50
     result = ExperimentResult(
@@ -149,7 +135,7 @@ def run_hotspot(
         ),
         ps,
         lambda r: r.elapsed,
-        _executor(executor, jobs, engine),
+        executor,
     )
     best = min(by_p, key=by_p.get)
     result.add_check(
@@ -159,9 +145,7 @@ def run_hotspot(
     return result
 
 
-def run_nn(
-    fast: bool = True, jobs: int = 1, executor=None, engine: str = "sim"
-) -> ExperimentResult:
+def run_nn(fast: bool = True, executor=None) -> ExperimentResult:
     ps = _partitions(fast)
     result = ExperimentResult(
         experiment="fig9e",
@@ -175,7 +159,7 @@ def run_nn(
         lambda p: RunSpec.for_app(NNApp, 5242880, 512, places=p),
         ps,
         lambda r: r.elapsed * 1e3,
-        _executor(executor, jobs, engine),
+        executor,
     )
     result.add_check(
         "sharp drop until P=4",
@@ -189,9 +173,7 @@ def run_nn(
     return result
 
 
-def run_srad(
-    fast: bool = True, jobs: int = 1, executor=None, engine: str = "sim"
-) -> ExperimentResult:
+def run_srad(fast: bool = True, executor=None) -> ExperimentResult:
     ps = _partitions(fast)
     iterations = 5 if fast else 100
     result = ExperimentResult(
@@ -208,7 +190,7 @@ def run_srad(
         ),
         ps,
         lambda r: r.elapsed,
-        _executor(executor, jobs, engine),
+        executor,
     )
     interior = {p: v for p, v in by_p.items() if 1 < p < 56}
     result.add_check(
@@ -231,11 +213,10 @@ PANELS = {
 
 
 def run(
-    fast: bool = True, jobs: int = 1, executor=None, apps=None,
-    engine: str = "sim",
+    fast: bool = True, executor=None, apps=None
 ) -> list[ExperimentResult]:
     """All panels, or — with ``apps`` — a subset by panel name."""
-    executor = _executor(executor, jobs, engine)
+    executor = default_executor(executor)
     names = list(PANELS) if apps is None else list(apps)
     unknown = [a for a in names if a not in PANELS]
     if unknown:

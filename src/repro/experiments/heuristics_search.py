@@ -15,8 +15,8 @@ from repro.autotune import (
     paper_pruned_space,
     run_search,
 )
-from repro.experiments.runner import ExperimentResult
-from repro.parallel import RunSpec, SweepExecutor, shared_cache
+from repro.experiments.runner import ExperimentResult, default_executor
+from repro.parallel import RunSpec
 
 
 def _mm_space(fast: bool) -> ConfigSpace:
@@ -29,9 +29,7 @@ def _mm_space(fast: bool) -> ConfigSpace:
     return ConfigSpace(p_values=p_values, t_values=t_values)
 
 
-def run(
-    fast: bool = True, jobs: int = 1, engine: str = "sim"
-) -> ExperimentResult:
+def run(fast: bool = True, executor=None) -> ExperimentResult:
     d = 3000 if fast else 6000
 
     def spec_fn(config: Config) -> RunSpec:
@@ -40,12 +38,12 @@ def run(
         )
 
     # The pruned grid is a subset of the exhaustive one, so with the
-    # shared cache the second search is pure cache hits.  The engine
-    # knob swaps the evaluation backend under both searches (their
-    # evaluation *counts* — what this experiment measures — are
-    # unchanged); for model-*ranked* searching see
+    # shared cache the second search is pure cache hits.  The
+    # executor's engine swaps the evaluation backend under both
+    # searches (their evaluation *counts* — what this experiment
+    # measures — are unchanged); for model-*ranked* searching see
     # ``run_search(engine=...)``.
-    executor = SweepExecutor(jobs=jobs, cache=shared_cache(), engine=engine)
+    executor = default_executor(executor)
     space = _mm_space(fast)
     exhaustive = run_search(space=space, spec_fn=spec_fn, executor=executor)
     pruned = run_search(

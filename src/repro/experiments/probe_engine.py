@@ -9,11 +9,10 @@ granularity: ``"model"`` evaluates the analytic helper everywhere
 midpoint per series and falls back to the simulated probe for the whole
 series when the calibration error exceeds the tolerance.  ``"learned"``
 takes the hybrid path too: a probe series has no corpus features, and
-the hybrid engine is the learned tier's own fallback.  An engine
-instance (as the CLI builds for ``--engine-store``) is resolved by its
-``name``.  The same ``engine.*`` metrics are recorded (see
-``docs/OBSERVABILITY.md``), and the default ``"sim"`` path records
-none.
+the hybrid engine is the learned tier's own fallback.  The engine is
+the one the figure's executor names (``executor.engine``).  The same
+``engine.*`` metrics are recorded (see ``docs/OBSERVABILITY.md``), and
+the ``"sim"`` path records none.
 """
 
 from __future__ import annotations
@@ -25,18 +24,17 @@ from repro.metrics.registry import get_registry
 
 
 def probe_series(
-    engine,
+    executor,
     xs: Sequence,
     sim_fn: Callable,
     model_fn: Callable,
     tolerance: float = 0.05,
     label: str = "",
 ) -> list[float]:
-    """Evaluate one figure series under the selected engine (a name
-    from :data:`~repro.engine.ENGINE_NAMES`, ``None``, or an engine
-    instance)."""
-    engine = getattr(engine, "name", engine)
-    if engine in (None, "sim"):
+    """Evaluate one figure series under the engine ``executor`` names
+    (one of :data:`~repro.engine.ENGINE_NAMES`)."""
+    engine = executor.engine
+    if engine == "sim":
         return [sim_fn(x) for x in xs]
     registry = get_registry()
     if engine == "model":

@@ -8,6 +8,22 @@ from repro.errors import ExperimentError
 from repro.util.tables import ascii_table
 
 
+def default_executor(executor):
+    """``executor``, or — for a caller that passes none — a serial
+    DES executor over the process-wide simulation cache.
+
+    Every engine-aware figure evaluates through the executor it is
+    handed; ``python -m repro.experiments`` hands each figure the one
+    executor its flags built (jobs, engine, retries, checkpoint, fault
+    plan), so those flags reach every figure alike.
+    """
+    if executor is not None:
+        return executor
+    from repro.parallel import SweepExecutor, shared_cache
+
+    return SweepExecutor(cache=shared_cache())
+
+
 @dataclass
 class Series:
     """One plotted line/bar set: y values over the shared x axis."""

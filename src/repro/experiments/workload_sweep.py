@@ -13,7 +13,7 @@ differential property suite in ``tests/workload``.
 from __future__ import annotations
 
 from repro.engine import DEFAULT_TOLERANCE
-from repro.experiments.runner import ExperimentResult
+from repro.experiments.runner import ExperimentResult, default_executor
 from repro.parallel.runspec import RunSpec
 from repro.workload import ScenarioGenerator, WorkloadSpec
 
@@ -26,14 +26,9 @@ def _load(workload: "str | None") -> WorkloadSpec:
 
 
 def run(
-    fast: bool = True,
-    executor=None,
-    jobs: int = 1,
-    engine="sim",
-    workload: "str | None" = None,
+    fast: bool = True, executor=None, workload: "str | None" = None
 ) -> ExperimentResult:
     from repro.engine.grid import predict_runs
-    from repro.parallel import SweepExecutor
 
     w = _load(workload)
     partitions = [1, 2, 4, 8] if fast else [1, 2, 4, 7, 8, 14, 16, 28, 56]
@@ -50,8 +45,7 @@ def run(
         y_label="elapsed (s)",
     )
 
-    if executor is None:
-        executor = SweepExecutor(jobs=jobs, engine=engine)
+    executor = default_executor(executor)
     runs = executor.map(specs)
     elapsed = [r.elapsed for r in runs]
     model = [s.predict().elapsed for s in specs]
@@ -69,7 +63,7 @@ def run(
         "every engine reports a positive makespan",
         all(v > 0 for v in (*elapsed, *model, *grid)),
     )
-    if engine == "sim":
+    if executor.engine == "sim":
         result.add_check(
             "analytic model tracks the DES within the hybrid tolerance",
             all(

@@ -124,21 +124,15 @@ class SimulationCache:
 
     def put(self, spec: RunSpec, run: AppRun) -> None:
         """Memoize ``run`` as the outcome of ``spec``."""
-        self.put_many([(spec, run)])
-
-    def put_many(self, items: "list[tuple[RunSpec, AppRun]]") -> None:
-        """Batch :meth:`put` — the executor buffers a sweep's
-        completions and flushes them here."""
-        for spec, run in items:
-            if spec.keep_timeline:
-                continue
-            key = spec.cache_key()
-            self._memory[key] = encode_run(run)
-            self._memory.move_to_end(key)
-            self.stats.puts += 1
-            while len(self._memory) > self.capacity:
-                self._memory.popitem(last=False)
-                self.stats.evictions += 1
+        if spec.keep_timeline:
+            return
+        key = spec.cache_key()
+        self._memory[key] = encode_run(run)
+        self._memory.move_to_end(key)
+        self.stats.puts += 1
+        while len(self._memory) > self.capacity:
+            self._memory.popitem(last=False)
+            self.stats.evictions += 1
 
     def clear(self) -> None:
         """Drop every entry."""

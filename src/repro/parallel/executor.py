@@ -222,9 +222,6 @@ class SweepExecutor:
         #: of each subset restarting at ``done=1``.
         self._progress_total: "int | None" = None
         self._progress_done = 0
-        #: When set, completed runs buffer here instead of writing the
-        #: cache point-by-point; ``_map_sim`` flushes via ``put_many``.
-        self._put_buffer: "list | None" = None
 
     # -- public API --------------------------------------------------------
 
@@ -280,9 +277,6 @@ class SweepExecutor:
         owns_scope = self._progress_total is None
         if owns_scope:
             self._progress_total, self._progress_done = total, 0
-        prev_buffer = self._put_buffer
-        buffer: "list | None" = [] if self.cache is not None else None
-        self._put_buffer = buffer
 
         try:
             # Cache pass (one batched lookup): serve hits, collect
@@ -333,8 +327,8 @@ class SweepExecutor:
                     get_registry().counter(
                         "executor.checkpoint_resumed"
                     ).inc()
-                    if buffer is not None:
-                        buffer.append((specs[i], run))
+                    if self.cache is not None:
+                        self.cache.put(specs[i], run)
                     results[i] = run
                     done += 1
                     self._notify_progress(specs[i])
@@ -361,9 +355,6 @@ class SweepExecutor:
                             specs, local, results, done, in_process=True
                         )
             finally:
-                if buffer:
-                    self.cache.put_many(buffer)
-                    buffer.clear()
                 if self.checkpoint is not None:
                     self.checkpoint.flush()
 
@@ -383,7 +374,6 @@ class SweepExecutor:
             assert done == total
             return results  # type: ignore[return-value]
         finally:
-            self._put_buffer = prev_buffer
             if owns_scope:
                 self._progress_total, self._progress_done = None, 0
 
@@ -645,9 +635,7 @@ class SweepExecutor:
         metrics = getattr(run, "metrics", None)
         if metrics is not None:
             registry.merge_snapshot(metrics)
-        if self._put_buffer is not None:
-            self._put_buffer.append((specs[i], run))
-        elif self.cache is not None:
+        if self.cache is not None:
             self.cache.put(specs[i], run)
         if self.checkpoint is not None:
             self.checkpoint.record(specs[i], run)

@@ -6,7 +6,7 @@ tasks onto streams.  This subpackage provides that vocabulary:
 
 * :class:`~repro.pipeline.task.Task` — one tile's work;
 * :class:`~repro.pipeline.graph.TaskGraph` — tasks + dependencies
-  (a networkx DAG), validated acyclic;
+  (a DAG: each task is added after the tasks it depends on);
 * :mod:`~repro.pipeline.schedule` — policies mapping tasks to streams and
   enqueueing them with the right action dependencies.
 """

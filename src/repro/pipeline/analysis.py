@@ -64,7 +64,6 @@ def analyze_graph(
     """
     if places < 1:
         raise PipelineError(f"places must be >= 1, got {places}")
-    graph.validate()
     partition = device.topology.partitions(places)[0]
 
     weights: dict[str, float] = {}

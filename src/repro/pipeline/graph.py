@@ -1,21 +1,24 @@
-"""Task graphs: a validated DAG of tasks over networkx."""
+"""Task graphs: a DAG of named tasks, kept in insertion order."""
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-
-import networkx as nx
 
 from repro.errors import PipelineError
 from repro.pipeline.task import Task
 
 
 class TaskGraph:
-    """A DAG of named tasks with ``after`` dependencies."""
+    """A DAG of named tasks with ``after`` dependencies.
+
+    :meth:`add` accepts a task only after every task it depends on, so
+    insertion order is a topological order and no cycle can be built.
+    """
 
     def __init__(self, tasks: Iterable[Task] = ()) -> None:
-        self._graph = nx.DiGraph()
         self._tasks: dict[str, Task] = {}
+        #: Each task's dependencies as added, deduplicated, in order.
+        self._after: dict[str, tuple[str, ...]] = {}
         for task in tasks:
             self.add(task)
 
@@ -38,9 +41,7 @@ class TaskGraph:
                     f"task {task.name!r} depends on unknown task {dep!r}"
                 )
         self._tasks[task.name] = task
-        self._graph.add_node(task.name)
-        for dep in task.after:
-            self._graph.add_edge(dep, task.name)
+        self._after[task.name] = tuple(dict.fromkeys(task.after))
         return task
 
     def task(self, name: str) -> Task:
@@ -51,31 +52,17 @@ class TaskGraph:
 
     def predecessors(self, name: str) -> list[Task]:
         self.task(name)
-        return [self._tasks[p] for p in self._graph.predecessors(name)]
-
-    def validate(self) -> None:
-        """Raise if the graph has a cycle."""
-        if not nx.is_directed_acyclic_graph(self._graph):
-            cycle = nx.find_cycle(self._graph)
-            raise PipelineError(f"task graph has a cycle: {cycle}")
+        return [self._tasks[p] for p in self._after[name]]
 
     def topological(self) -> list[Task]:
-        """Tasks in a dependency-respecting order.
-
-        Uses lexicographic tie-breaking on insertion order so schedules
-        are deterministic.
-        """
-        self.validate()
-        order_index = {name: i for i, name in enumerate(self._tasks)}
-        names = nx.lexicographical_topological_sort(
-            self._graph, key=lambda n: order_index[n]
-        )
-        return [self._tasks[n] for n in names]
+        """Tasks in a dependency-respecting order: insertion order,
+        which keeps schedules deterministic."""
+        return list(self._tasks.values())
 
     @property
     def critical_path_length(self) -> int:
         """Number of tasks on the longest dependency chain."""
-        self.validate()
-        if not self._tasks:
-            return 0
-        return nx.dag_longest_path_length(self._graph) + 1
+        depth: dict[str, int] = {}
+        for name, after in self._after.items():
+            depth[name] = 1 + max((depth[p] for p in after), default=0)
+        return max(depth.values(), default=0)

@@ -60,7 +60,7 @@ def _closes(phase: PhaseSpec) -> bool:
     return True
 
 
-def _check_capacity(workload: WorkloadSpec, capacity: int, device) -> None:
+def check_capacity(workload: WorkloadSpec, capacity: int, device) -> None:
     """Refuse a spec whose transfer buffers overflow a card's memory
     (``device`` maps streams to cards; ``None`` is one card)."""
     used: dict[int, int] = {}
@@ -87,7 +87,7 @@ def lower_workload(workload: WorkloadSpec, bld, device=None) -> None:
     id, and each kernel is one cost class).
     """
     spec = bld.spec
-    _check_capacity(workload, spec.memory_bytes, device)
+    check_capacity(workload, spec.memory_bytes, device)
 
     def card(tile):
         return 0 if device is None else device[tile % len(device)]

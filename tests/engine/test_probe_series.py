@@ -2,13 +2,18 @@
 
 import pytest
 
-from repro.engine import HybridEngine, LearnedEngine
 from repro.errors import ConfigurationError
 from repro.experiments.probe_engine import probe_series
 from repro.metrics.registry import scoped_registry
+from repro.parallel import SweepExecutor
 
 
 XS = [1, 2, 3, 4, 5]
+
+
+def _under(engine):
+    """An executor whose engine the probes read."""
+    return SweepExecutor(engine=engine)
 
 
 def _sim(x):
@@ -24,17 +29,17 @@ def _model_off(x):
 
 
 class TestSimAndModel:
-    @pytest.mark.parametrize("engine", [None, "sim"])
+    @pytest.mark.parametrize("engine", ["sim"])
     def test_sim_uses_probe_and_records_nothing(self, engine):
         with scoped_registry() as registry:
-            values = probe_series(engine, XS, _sim, _model_off)
+            values = probe_series(_under(engine), XS, _sim, _model_off)
             snapshot = registry.snapshot()
         assert values == [_sim(x) for x in XS]
         assert snapshot.empty()
 
     def test_model_uses_model_everywhere(self):
         with scoped_registry() as registry:
-            values = probe_series("model", XS, _sim, _model_off)
+            values = probe_series(_under("model"), XS, _sim, _model_off)
             snapshot = registry.snapshot()
         assert values == [_model_off(x) for x in XS]
         assert snapshot.counter_value(
@@ -49,7 +54,7 @@ class TestHybrid:
 
         with scoped_registry() as registry:
             values = probe_series(
-                "hybrid", XS, _sim, _model_near, label="probe-test"
+                _under("hybrid"), XS, _sim, _model_near, label="probe-test"
             )
             snapshot = registry.snapshot()
         mid = XS[len(XS) // 2]
@@ -68,7 +73,7 @@ class TestHybrid:
 
     def test_falls_back_to_sim_when_model_misses(self):
         with scoped_registry() as registry:
-            values = probe_series("hybrid", XS, _sim, _model_off)
+            values = probe_series(_under("hybrid"), XS, _sim, _model_off)
             snapshot = registry.snapshot()
         assert values == [_sim(x) for x in XS]
         assert snapshot.counter_value("engine.families_fallback") == 1
@@ -82,7 +87,7 @@ class TestHybrid:
 
         with scoped_registry() as registry:
             values = probe_series(
-                "hybrid", XS, _sim, _model_near, tolerance=0.001
+                _under("hybrid"), XS, _sim, _model_near, tolerance=0.001
             )
             snapshot = registry.snapshot()
         assert values == [_sim(x) for x in XS]  # 1 % err > 0.1 % tol
@@ -90,21 +95,20 @@ class TestHybrid:
 
 
 class TestEngineResolution:
-    """The CLI hands the figures an engine instance under
-    ``--engine-store``, and ``learned`` has no probe path of its own."""
+    """``learned`` has no probe path of its own, and the CLI's one
+    executor carries the engine (and ``--engine-store``) to the probe
+    figures."""
 
     @staticmethod
     def _model_near(x):
         return _sim(x) * 1.01
 
-    @pytest.mark.parametrize(
-        "engine",
-        [HybridEngine(), LearnedEngine(), "learned"],
-        ids=["hybrid-instance", "learned-instance", "learned"],
-    )
+    @pytest.mark.parametrize("engine", ["learned"])
     def test_takes_the_hybrid_probe_path(self, engine):
         with scoped_registry() as registry:
-            values = probe_series(engine, XS, _sim, self._model_near)
+            values = probe_series(
+                _under(engine), XS, _sim, self._model_near
+            )
             snapshot = registry.snapshot()
         mid = XS[len(XS) // 2]
         assert values == [
@@ -131,5 +135,13 @@ class TestEngineResolution:
 
 
 def test_unknown_engine_rejected():
+    class Oracle:
+        """An engine instance the executor accepts but no probe knows."""
+
+        name = "oracle"
+
+        def map(self, executor, specs):
+            raise AssertionError("probes never map specs")
+
     with pytest.raises(ConfigurationError):
-        probe_series("oracle", XS, _sim, _model_exact)
+        probe_series(_under(Oracle()), XS, _sim, _model_exact)

@@ -9,7 +9,7 @@ name.
 
 import pytest
 
-from tests.findings.conftest import series
+from tests.findings.conftest import figure_snapshot, series
 
 
 def _flat(values, tolerance=0.05):
@@ -215,7 +215,7 @@ class TestRecordedChecks:
     recorded as counters (the manifest carries a pass/fail tally)."""
 
     @pytest.mark.parametrize(
-        "fixture, experiments",
+        "figure, experiments",
         [
             ("fig5", ["fig5"]),
             ("fig6", ["fig6"]),
@@ -226,8 +226,8 @@ class TestRecordedChecks:
             ("fig11", ["fig11"]),
         ],
     )
-    def test_all_driver_checks_green(self, request, fixture, experiments):
-        snapshot = request.getfixturevalue(fixture)
+    def test_all_driver_checks_green(self, engine, figure, experiments):
+        snapshot = figure_snapshot(figure, engine)
         for experiment in experiments:
             passed = snapshot.counter_value(
                 "experiment.checks_passed", experiment=experiment

@@ -52,6 +52,7 @@ class TestAccounting:
         cache.put(spec, _run_of(SPEC))
         assert cache.get(spec) is None
         assert cache.stats.puts == 0
+        assert len(cache) == 0
         runs = SweepExecutor(jobs=1, cache=cache).map([spec])
         assert runs[0].timeline is not None
 
@@ -119,10 +120,11 @@ class TestBatchLookup:
         assert batch[0].elapsed == cache.get(SPEC).elapsed
         assert batch[1] is None
 
-    def test_put_many_roundtrips(self):
+    def test_put_roundtrips(self):
         run_a, run_b = _run_of(SPEC), _run_of(OTHER)
         cache = SimulationCache()
-        cache.put_many([(SPEC, run_a), (OTHER, run_b)])
+        cache.put(SPEC, run_a)
+        cache.put(OTHER, run_b)
         assert cache.stats.puts == 2
         served = cache.get_many([SPEC, OTHER])
         assert served[0].elapsed == run_a.elapsed
@@ -130,13 +132,17 @@ class TestBatchLookup:
         assert cache.stats.hits == 2
 
     def test_put_many_skips_keep_timeline(self):
+        # The executor puts each point of a batch as it completes; the
+        # keep_timeline point among them is never stored.
         spec = RunSpec.for_app(
             MatMulApp, 600, 4, places=2, keep_timeline=True
         )
         cache = SimulationCache()
-        cache.put_many([(spec, _run_of(SPEC))])
-        assert cache.stats.puts == 0
-        assert len(cache) == 0
+        runs = SweepExecutor(jobs=1, cache=cache).map([SPEC, spec])
+        assert cache.stats.puts == 1
+        assert len(cache) == 1
+        assert cache.get(spec) is None
+        assert runs[1].timeline is not None
 
     def test_duplicate_specs_in_one_batch_simulate_once(self):
         cache = SimulationCache()

@@ -1,5 +1,9 @@
 """Tests for tasks, task graphs, and stream scheduling."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,8 +102,29 @@ class TestTaskGraph:
         g.add(Task(name="a", work=work()))
         g.add(Task(name="b", work=work(), after=("a",)))
         assert [t.name for t in g.predecessors("b")] == ["a"]
+        # a repeated dependency is one edge, in first-mention order
+        g.add(Task(name="c", work=work(), after=("b", "a", "b")))
+        assert [t.name for t in g.predecessors("c")] == ["b", "a"]
         with pytest.raises(PipelineError):
             g.predecessors("zzz")
+
+    def test_import_repro_leaves_networkx_unloaded(self):
+        # TaskGraph is kept in insertion order, which add() makes a
+        # topological order, so no graph library is needed.
+        src = Path(__file__).resolve().parents[2] / "src"
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro; print('networkx' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestScheduling:

@@ -130,15 +130,16 @@ class TestAutotune:
 
 
 class TestOverCapacity:
-    def test_over_capacity_point_is_422_and_service_stays_up(self):
-        """An MM point whose buffers overflow the card (D 40000, T 16)
-        is the client's error on every route; the next in-capacity
-        request on the same service is answered."""
+    """An MM point whose buffers overflow the card (D 40000, T 16) is
+    the client's error on every route; the next in-capacity request on
+    the same service is answered."""
 
+    @staticmethod
+    def _assert_422_and_service_stays_up(engine):
         async def scenario():
             with scoped_registry():
                 service = PredictionService(
-                    PredictionBackend(engine="hybrid"),
+                    PredictionBackend(engine=engine),
                     ServeConfig(batch_window=0.0),
                 )
                 await service.start()
@@ -163,6 +164,12 @@ class TestOverCapacity:
             assert status == 200 and body["elapsed_seconds"] > 0
 
         asyncio.run(scenario())
+
+    def test_over_capacity_point_is_422_and_service_stays_up(self):
+        self._assert_422_and_service_stays_up("hybrid")
+
+    def test_learned_tier_refuses_it_to_its_hybrid_fallback(self):
+        self._assert_422_and_service_stays_up("learned")
 
 
 class TestLearnedBackend:
