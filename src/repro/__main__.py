@@ -200,8 +200,9 @@ def add_serve_parser(sub) -> None:
         type=float,
         default=5.0,
         metavar="MS",
-        help="batching window: concurrent point requests arriving "
-        "within MS coalesce into one grid evaluation (default 5)",
+        help="longest a point request waits for batch-mates while a "
+        "batch is being evaluated; with none in flight it dispatches "
+        "at once (default 5)",
     )
     srv.add_argument(
         "--max-batch",

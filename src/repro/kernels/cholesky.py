@@ -15,7 +15,6 @@ dependency structure is what exercises inter-stream synchronisation.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from repro.device.compute import KernelWork
 from repro.device.spec import DeviceSpec, PHI_31SP
@@ -37,6 +36,10 @@ def trsm(panel: np.ndarray, diag: np.ndarray) -> np.ndarray:
         raise KernelError(
             f"trsm shape mismatch: panel {panel.shape}, diag {diag.shape}"
         )
+    # Imported here so that ``import repro`` does not load scipy, which
+    # only Cholesky's functional kernels use.
+    from scipy.linalg import solve_triangular
+
     # X L^T = P  <=>  L X^T = P^T.
     panel[:] = solve_triangular(diag, panel.T, lower=True).T
     return panel

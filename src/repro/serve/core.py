@@ -12,11 +12,11 @@ is pumping it:
 * :meth:`Batcher.next_event` — "when do you next need to be polled?".
 
 The asyncio service (:mod:`repro.serve.service`) drives it with real
-timers; the unit tests and the in-process load generator drive the
-*same* machine on simulated time — no real sleeps or sockets anywhere
-in the batching/dispatch tests.  This is the AsyncRuntime/SyncRuntime/
-SimulationRuntime split of the doeff scheduler applied to one state
-machine instead of three runtimes.
+timers; the unit tests drive the *same* machine on simulated time
+(:class:`~repro.serve.service.SyncDriver`) — no real sleeps or sockets
+anywhere in the batching/dispatch tests.  This is the AsyncRuntime/
+SyncRuntime/SimulationRuntime split of the doeff scheduler applied to
+one state machine instead of three runtimes.
 
 Admission and coalescing rules:
 
@@ -24,10 +24,17 @@ Admission and coalescing rules:
   :class:`~repro.parallel.runspec.RunSpec`\\ s;
 * point requests are grouped by *coalescing family* (app class ×
   stream geometry — the same grouping the grid path vectorizes over,
-  see :func:`repro.engine.grid.predict_grid`) and a group is flushed
-  as one :class:`Batch` when its window expires or it reaches
-  ``max_batch`` specs, so concurrent point queries are answered by one
-  family array evaluation instead of N scalar ones;
+  see :func:`repro.engine.grid.predict_grid`), so concurrent point
+  queries are answered by one family array evaluation instead of N
+  scalar ones;
+* batching is *work-conserving*: a family group is flushed as one
+  :class:`Batch` when no batch is in flight at the poll, when its
+  window (``batch_window`` from its first arrival) has expired, or
+  when it holds ``max_batch`` specs.  A request to an idle server
+  therefore dispatches at once; requests that arrive while a batch is
+  being evaluated gather, and leave together when the driver polls
+  after that batch completes or when the window expires, whichever
+  comes first — the window is a maximum wait, not a latency floor;
 * whole-sweep and autotune requests are already batches — they skip
   the window and become due immediately (still counted against the
   queue bound);
@@ -63,12 +70,15 @@ SHED_DEADLINE = "deadline"
 class ServeConfig:
     """Tuning knobs of the admission/batching layer.
 
-    ``batch_window`` is the coalescing window in seconds: the first
+    ``batch_window`` is the longest a point request waits for
+    batch-mates, in seconds, while the consumer is busy: the first
     point request of a family opens the window, and everything that
-    arrives for the family before it closes rides the same batch
-    (``docs/SERVING.md`` discusses how to tune it against the p99
-    budget).  ``default_deadline`` is applied to requests that do not
-    carry their own ``deadline_ms``; ``None`` disables deadlines.
+    arrives for the family before the in-flight batch completes (or
+    the window closes, if sooner) rides the same batch.  With nothing
+    in flight a request dispatches at once (``docs/SERVING.md``
+    discusses tuning it).  ``default_deadline`` is applied to requests
+    that do not carry their own ``deadline_ms``; ``None`` disables
+    deadlines.
     """
 
     batch_window: float = 0.005
@@ -323,11 +333,11 @@ class Batcher:
     def next_event(self, now: float) -> "float | None":
         """Earliest future time a poll could produce work, or ``None``.
 
-        Already-due work (a full group, a direct ticket, an expired
-        window) reports ``now`` itself, so drivers can treat the return
-        value as "sleep until".
+        Already-due work (a direct ticket, any group while nothing is
+        in flight, a full group, an expired window) reports ``now``
+        itself, so drivers can treat the return value as "sleep until".
         """
-        if self._direct:
+        if self._direct or (self._groups and self.in_flight == 0):
             return now
         soonest: "float | None" = None
         for group in self._groups.values():
@@ -353,6 +363,7 @@ class Batcher:
         metrics = self._metrics()
         shed: list[Ticket] = []
         batches: list[Batch] = []
+        idle = self.in_flight == 0
 
         def expire(tickets: list[Ticket]) -> list[Ticket]:
             alive = []
@@ -374,7 +385,8 @@ class Batcher:
         for key in list(self._groups):
             group = self._groups[key]
             due = (
-                now >= group.opened + self.config.batch_window
+                idle
+                or now >= group.opened + self.config.batch_window
                 or group.spec_count() >= self.config.max_batch
             )
             group.tickets = expire(group.tickets)

@@ -8,13 +8,14 @@ machine is pumped by two interchangeable drivers:
   task flushes due batches on real timers, a single consumer task
   evaluates them through the backend in a worker thread
   (``asyncio.to_thread``) so the event loop stays responsive, and
-  submitters await per-ticket futures.  Used by the HTTP layer and the
-  networked load generator.
+  submitters await per-ticket futures.  The consumer wakes the pump
+  whenever a batch completes, so requests that gathered behind it
+  leave at once instead of waiting out the window.  Used by the HTTP
+  layer.
 * :class:`SyncDriver` — the simulated-time driver: a synchronous pump
-  on a virtual clock that the unit tests and the in-process load
-  generator advance explicitly.  No sleeps, no sockets, no event loop
-  — batching/dispatch behaviour is tested deterministically and the
-  latency benches measure pure compute.
+  on a virtual clock that the unit tests advance explicitly.  No
+  sleeps, no sockets, no event loop — batching/dispatch behaviour is
+  tested deterministically.
 
 Both record the same ``serve.*`` metrics, because the metrics live in
 the state machine and in the shared completion bookkeeping here.
@@ -51,7 +52,7 @@ def dispatch_batch(batch: Batch, dispatch, backend=None) -> list:
 #: Instrument handles are memoized per registry, so they stay valid for
 #: the registry's lifetime; caching them here keeps the per-request
 #: completion cost flat instead of paying two name+label resolutions
-#: per ticket (visible at serving rates — see bench_serve).
+#: per ticket (visible at serving rates).
 _observe_handles: "tuple" = (None, {})
 
 
@@ -232,7 +233,7 @@ class PredictionService:
                     pass
 
     async def _consume(self) -> None:
-        assert self._queue is not None
+        assert self._queue is not None and self._wake is not None
         while True:
             batch = await self._queue.get()
             try:
@@ -244,6 +245,8 @@ class PredictionService:
                 batch.fail(exc)
             finally:
                 self.batcher.complete(batch)
+                # Let the pump flush what gathered behind this batch.
+                self._wake.set()
                 self._maybe_idle()
 
     def _maybe_idle(self) -> None:
@@ -281,10 +284,11 @@ class PredictionService:
 class SyncDriver:
     """Simulated-time driver: same batcher, explicit clock, no runtime.
 
-    Submissions return unresolved tickets; :meth:`advance` moves the
-    virtual clock and pumps due batches synchronously through the
-    dispatcher.  ``auto_flush=True`` pumps after every submission (the
-    sequential one-request-at-a-time baseline of the serving bench).
+    Submissions return unresolved tickets; :meth:`pump` dispatches
+    every due batch synchronously through the dispatcher and completes
+    it before returning, so nothing is in flight between pumps and
+    each pump flushes whatever is queued; :meth:`advance` moves the
+    virtual clock first.
     """
 
     def __init__(

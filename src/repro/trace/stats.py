@@ -11,7 +11,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.config import RunProtocol, PAPER_PROTOCOL
 
@@ -53,6 +52,10 @@ def mean_confidence(
     samples: Sequence[float], confidence: float = 0.95
 ) -> tuple[float, float]:
     """Mean and half-width of the Student-t confidence interval."""
+    # Imported here: scipy.stats costs about a second to import, and
+    # nothing on the serving or sweep paths needs it.
+    from scipy import stats as sps
+
     data = np.asarray(samples, dtype=float)
     if data.size < 2:
         raise ValueError("need at least two samples for a confidence interval")

@@ -111,20 +111,32 @@ class TestTaskGraph:
     def test_import_repro_leaves_networkx_unloaded(self):
         # TaskGraph is kept in insertion order, which add() makes a
         # topological order, so no graph library is needed.
-        src = Path(__file__).resolve().parents[2] / "src"
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import sys, repro; print('networkx' in sys.modules)",
-            ],
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert not loaded_after_import("repro", "networkx")
+
+    @pytest.mark.parametrize("module", ["repro", "repro.serve"])
+    def test_import_leaves_scipy_unloaded(self, module):
+        # Only mean_confidence and Cholesky's trsm kernel use scipy, and
+        # they import it when called.
+        assert not loaded_after_import(module, "scipy")
+
+
+def loaded_after_import(module, name):
+    """Whether importing ``module`` in a fresh interpreter loads
+    ``name``."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            f"import sys, {module}; print({name!r} in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip() == "True"
 
 
 class TestScheduling:

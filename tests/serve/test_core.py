@@ -2,10 +2,10 @@
 
 Every test here drives the sans-IO :class:`repro.serve.core.Batcher`
 with explicit ``now`` values and a hand-rolled dispatcher: no event
-loop, no sockets, no sleeps.  This is the contract the ISSUE's
-"batching edge cases" satellite names: window-expiry flush, mixed-
-family coalescing, deadline shedding with surviving batch-mates, and
-drain semantics.
+loop, no sockets, no sleeps.  Covered: work-conserving dispatch (an
+idle batcher flushes at once), window-expiry flush while a batch is in
+flight, mixed-family coalescing, deadline shedding with surviving
+batch-mates, and drain semantics.
 """
 
 import pytest
@@ -44,6 +44,16 @@ def make(window=1.0, max_batch=8, queue_limit=16, deadline=None):
     )
 
 
+def busy(b, now=0.0):
+    """Put one batch in flight (polled, never completed), as if the
+    consumer were evaluating it; point requests submitted afterwards
+    wait for batch-mates instead of dispatching at once."""
+    b.submit("sweep", [km_spec(8)], now=now)
+    (held,), _ = b.poll(now)
+    assert b.in_flight == 1
+    return held
+
+
 class TestConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ConfigurationError):
@@ -56,11 +66,45 @@ class TestConfig:
             ServeConfig(default_deadline=0)
 
 
+class TestWorkConserving:
+    def test_lone_request_on_idle_batcher_is_due_at_once(self):
+        b = make(window=100.0)
+        t = b.submit("predict", [mm_spec()], now=10.0)
+        assert b.next_event(10.0) == 10.0
+        batches, shed = b.poll(10.0)
+        assert [batch.tickets for batch in batches] == [[t]]
+        assert shed == [] and b.queue_depth() == 0
+
+    def test_arrivals_during_a_dispatch_leave_when_it_completes(self):
+        """N requests arriving while one batch is evaluated form one
+        batch, due as soon as that batch completes — long before the
+        window closes."""
+        b = make(window=100.0)
+        held = busy(b)
+        tickets = [
+            b.submit("predict", [mm_spec(p)], now=0.1) for p in (1, 2, 4)
+        ]
+        assert b.poll(0.2) == ([], [])
+        assert b.next_event(0.2) == pytest.approx(100.1)
+        b.complete(held)
+        assert b.next_event(0.3) == 0.3
+        batches, _ = b.poll(0.3)
+        assert [batch.tickets for batch in batches] == [tickets]
+
+    def test_every_family_flushes_when_idle(self):
+        b = make(window=100.0)
+        b.submit("predict", [mm_spec(1)], now=0.0)
+        b.submit("predict", [km_spec(1)], now=0.0)
+        batches, _ = b.poll(0.0)
+        assert len(batches) == 2 and b.queue_depth() == 0
+
+
 class TestWindowFlush:
     def test_single_request_flushes_at_window_expiry(self):
         b = make(window=1.0)
+        busy(b, now=10.0)
         t = b.submit("predict", [mm_spec()], now=10.0)
-        # Before the window closes: nothing is due.
+        # A batch is in flight and the window is open: nothing is due.
         batches, shed = b.poll(10.5)
         assert batches == [] and shed == []
         assert b.queue_depth() == 1
@@ -73,17 +117,23 @@ class TestWindowFlush:
 
     def test_window_anchored_at_first_arrival(self):
         b = make(window=1.0)
+        busy(b)
         b.submit("predict", [mm_spec(1)], now=0.0)
         b.submit("predict", [mm_spec(2)], now=0.9)
         # The second arrival does not re-open the window.
+        assert b.next_event(0.9) == pytest.approx(1.0)
+        assert b.poll(0.95) == ([], [])
         batches, _ = b.poll(1.0)
         assert len(batches) == 1
         assert len(batches[0].specs) == 2
 
     def test_full_group_is_due_immediately(self):
         b = make(window=100.0, max_batch=3)
-        for p in (1, 2, 3):
+        busy(b)
+        for p in (1, 2):
             b.submit("predict", [mm_spec(p)], now=0.0)
+        assert b.next_event(0.0) == pytest.approx(100.0)
+        b.submit("predict", [mm_spec(3)], now=0.0)
         assert b.next_event(0.0) == 0.0
         batches, _ = b.poll(0.0)
         assert len(batches) == 1
@@ -135,6 +185,7 @@ class TestCoalescing:
 
     def test_sweep_requests_skip_the_window(self):
         b = make(window=100.0)
+        busy(b)
         t = b.submit("sweep", [mm_spec(1), mm_spec(2)], now=0.0)
         assert b.next_event(0.0) == 0.0
         batches, _ = b.poll(0.0)
@@ -158,9 +209,11 @@ class TestDeadlines:
         assert alive.results == ["ok"]
 
     def test_deadline_sheds_before_window_closes(self):
-        """A poll between deadline and window expiry sheds the expired
-        ticket even though its group is not yet due."""
+        """While a batch is in flight, a poll between deadline and
+        window expiry sheds the expired ticket even though its group is
+        not yet due."""
         b = make(window=10.0)
+        busy(b)
         doomed = b.submit("predict", [mm_spec(1)], now=0.0, deadline=1.0)
         b.submit("predict", [mm_spec(2)], now=0.0)
         assert b.next_event(0.0) == pytest.approx(1.0)  # the deadline

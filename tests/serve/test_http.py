@@ -11,6 +11,7 @@ request limits.
 
 import asyncio
 import json
+import threading
 from contextlib import asynccontextmanager
 
 import pytest
@@ -180,15 +181,52 @@ class TestStatusMapping:
 
     def test_deadline_504(self):
         async def scenario(service, backend):
-            # Deadline far shorter than the window: the flush that
-            # happens at the deadline sheds the ticket with 504.
+            # Hold one batch in flight so the next request queues.  Its
+            # deadline, far shorter than the window, passes first: the
+            # poll that happens at the deadline sheds it with 504.
+            loop = asyncio.get_running_loop()
+            in_flight = asyncio.Event()
+            gate = threading.Event()
+
+            def gated(specs):
+                loop.call_soon_threadsafe(in_flight.set)
+                gate.wait(timeout=10)
+                return backend.evaluate(specs)
+
+            service.dispatch = gated
+            held = asyncio.create_task(
+                handle_request(
+                    service, "POST", "/predict", {"app": "mm", "P": 1}
+                )
+            )
+            try:
+                await asyncio.wait_for(in_flight.wait(), timeout=10)
+                status, body = await handle_request(
+                    service,
+                    "POST",
+                    "/predict",
+                    {"app": "mm", "P": 4, "deadline_ms": 1},
+                )
+                assert status == 504
+            finally:
+                gate.set()
+            status, _ = await held
+            assert status == 200
+
+        with_service(scenario, ServeConfig(batch_window=60.0))
+
+    def test_short_deadline_on_idle_server_200(self):
+        async def scenario(service, backend):
+            # Nothing in flight: the request dispatches at once, long
+            # before its deadline, which is itself far inside the window.
             status, body = await handle_request(
                 service,
                 "POST",
                 "/predict",
-                {"app": "mm", "P": 4, "deadline_ms": 1},
+                {"app": "mm", "P": 4, "deadline_ms": 1000},
             )
-            assert status == 504
+            assert status == 200
+            assert body["P"] == 4
 
         with_service(scenario, ServeConfig(batch_window=60.0))
 

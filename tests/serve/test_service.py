@@ -1,7 +1,8 @@
 """Runtime drivers: the simulated-time SyncDriver and the asyncio
 service, both against a deterministic fake engine (no DES, no
-sockets; the asyncio tests use zero-length windows and event-driven
-dispatchers, so nothing sleeps)."""
+sockets; the asyncio tests use event-driven dispatchers and either
+zero-length windows or windows they must not wait for, so nothing
+sleeps)."""
 
 import asyncio
 import threading
@@ -37,12 +38,17 @@ class TestSyncDriver:
     def test_batched_dispatch_on_virtual_time(self):
         engine = FakeEngine()
         driver = SyncDriver(engine, ServeConfig(batch_window=1.0))
+        # Hold one batch in flight, as a busy consumer would.
+        driver.submit("sweep", [mm_spec(8)])
+        (held,), _ = driver.batcher.poll(driver.now)
         t1 = driver.submit("predict", [mm_spec(1)])
         t2 = driver.submit("predict", [mm_spec(2)])
         assert driver.pump() == 0, "window still open"
         assert driver.advance(1.0) == 1
         assert engine.batches == [[mm_spec(1), mm_spec(2)]]
         assert t1.results == [1.0] and t2.results == [2.0]
+        driver.batcher.complete(held)
+        assert driver.batcher.idle()
 
     def test_run_until_idle(self):
         engine = FakeEngine()
@@ -137,6 +143,70 @@ class TestAsyncService:
                 # ride at most two batches (typically one).
                 assert len(engine.batches) <= 2
             finally:
+                await service.stop()
+
+        asyncio.run(scenario())
+
+    def test_lone_request_does_not_wait_for_the_window(self):
+        async def scenario():
+            service = PredictionService(
+                None, ServeConfig(batch_window=60.0), dispatcher=FakeEngine()
+            )
+            await service.start()
+            try:
+                ticket = await asyncio.wait_for(
+                    service.submit("predict", [mm_spec(4)]), timeout=10
+                )
+                assert ticket.results == [4.0]
+            finally:
+                await service.stop()
+
+        asyncio.run(scenario())
+
+    def test_arrivals_behind_a_busy_consumer_leave_as_one_batch(self):
+        """Three predicts submitted while the first is held go out as
+        one batch once the gate opens — long before the window."""
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            held = asyncio.Event()
+            gate = threading.Event()
+            engine = FakeEngine()
+
+            def gated_engine(specs):
+                loop.call_soon_threadsafe(held.set)
+                gate.wait(timeout=10)
+                return engine(specs)
+
+            service = PredictionService(
+                None, ServeConfig(batch_window=60.0), dispatcher=gated_engine
+            )
+            await service.start()
+            try:
+                first = asyncio.create_task(
+                    service.submit("predict", [mm_spec(1)])
+                )
+                await asyncio.wait_for(held.wait(), timeout=10)
+                rest = [
+                    asyncio.create_task(
+                        service.submit("predict", [mm_spec(p)])
+                    )
+                    for p in (2, 3, 4)
+                ]
+                await asyncio.sleep(0)  # the three submissions queue
+                assert service.batcher.queue_depth() == 3
+                gate.set()
+                tickets = await asyncio.wait_for(
+                    asyncio.gather(first, *rest), timeout=10
+                )
+                assert [t.results for t in tickets] == [
+                    [1.0], [2.0], [3.0], [4.0]
+                ]
+                assert engine.batches == [
+                    [mm_spec(1)], [mm_spec(2), mm_spec(3), mm_spec(4)]
+                ]
+            finally:
+                gate.set()
                 await service.stop()
 
         asyncio.run(scenario())
