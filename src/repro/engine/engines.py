@@ -98,7 +98,8 @@ class ModelEngine:
     """Evaluate every spec analytically; refuse anything unsupported.
 
     The batch goes through the grid path (:mod:`repro.engine.grid`):
-    each family is lowered once and evaluated point by point.
+    each shape is lowered once and each family evaluated point by
+    point.
     """
 
     name = "model"

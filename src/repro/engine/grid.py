@@ -1,28 +1,45 @@
-"""The analytic model's evaluator: lowered families, evaluated per point.
+"""The analytic model's evaluator: lowered shapes, evaluated per point.
 
 A figure sweep, a Sec. V-C pruning study or an ML-tuner training pass
 evaluates a *dense grid* of :class:`~repro.parallel.runspec.RunSpec`\\ s
 that differ only in their run geometry (P) or dataset/tile arguments
-(T, D).  On one device the schedule's *topology* (which uploads are
-deduplicated, which kernel depends on which transfer, how many actions
-each phase settles) is identical across the partition axis; only the
-stream assignment (``tile % S``) and the per-stream costs vary.  So the
-model lowers a family once and evaluates each point with a flat loop
-over precompiled arrays; :func:`~repro.engine.profiles.predict_run` is
-this same evaluator at one point.
+(T, D).  A paper app's op graph is fixed by its *shape* (the app class,
+its tile count or grid side, its iteration count, the device layout and
+the device spec); the dataset only moves bytes and kernel work, and P
+only moves the stream assignment (``tile % S``) and the per-stream
+costs.  So the model lowers each shape once, keeps a dataset's numbers
+as per-family columns, and evaluates each point with a flat loop over
+precompiled arrays; :func:`~repro.engine.profiles.predict_run` is this
+same evaluator at one point.
 
 * the family's schedule is its workload port
-  (:func:`repro.workload.ports.workload_of`; a
-  :class:`~repro.workload.app.WorkloadApp` is its own port);
-* :class:`_FamilyBuilder` — :func:`~repro.workload.compile.lower_workload`
-  records the port into it with a stream *chain id* (the op's tile,
+  (:mod:`repro.workload.ports`: a skeleton built from the shape plus the
+  dataset's numbers; a :class:`~repro.workload.app.WorkloadApp` is its
+  own port);
+* :class:`_Lowering` — :func:`~repro.workload.compile.lower_skeleton`
+  records the skeleton into it with a stream *chain id* (the op's tile,
   reduced mod ``num_streams`` per point) instead of a concrete stream
-  and a kernel *cost class* instead of a concrete cost, so one
-  recording serves every partition count; repeated phases that qualify
-  close in one step (the closed-repeat rule of
-  :mod:`repro.workload.compile`).  A multi-device port depends on P
-  (uploads dedup per device under the device-major place layout), so a
-  multi-device family is lowered once per (family, P) instead;
+  and a byte or kernel *slot* instead of a concrete cost, so one
+  recording serves every dataset of the shape and every partition
+  count; repeated phases that qualify close in one step (the
+  closed-repeat rule of :mod:`repro.workload.compile`).  Lowerings are
+  cached per shape (at most ``_SHAPE_CAP``).  A multi-device port
+  depends on P (uploads dedup per device under the device-major place
+  layout), so its shape carries the layout and it is lowered once per
+  (shape, P).  A scenario, or a dataset whose numbers fall outside its
+  shape (a zero byte count turns a transfer into a marker), is lowered
+  from its own spec for its family alone;
+* :class:`_Schedule` — a lowering at one partition count: the stream
+  map and geometry, each action's dependents (its FIFO successor merged
+  with its explicit dependents in ascending issue order), and the
+  initial dependency counts and ready set.  Every dataset of the shape
+  shares it (at most ``_POINT_CAP`` per lowering);
+* :class:`_Columns` — one family's numbers on a lowering: each
+  transfer's lane occupancy and each kernel's cost class.  Per point,
+  :meth:`_CompiledFamily._build_point` adds the cost column (one
+  vectorized :func:`~repro.engine.analytic.invoke_cost` table) and the
+  closed steps' maxima, and the family memoizes only the answer (at
+  most ``_POINT_CAP`` per family);
 * :func:`_eval_phase` — settles one phase between two global syncs: an
   action waits for its stream predecessor (FIFO) and its explicit deps,
   pays the cross-device sync when a dep ran on another card, pays the
@@ -31,10 +48,6 @@ this same evaluator at one point.
   first invocation of a kernel name on a card pays the device spec's
   ``first_invoke_extra``).  Each card's lane is granted in request-time
   order, the same discipline as the DES's capacity-1 link resource;
-* per-``(family, P)`` point schedules (stream maps, FIFO successor
-  arrays, per-action costs from one vectorized
-  :func:`~repro.engine.analytic.invoke_cost` table) are cached, so a
-  steady-state re-sweep pays only the flat loop;
 * :class:`GridPlan` / :func:`predict_grid` — the public batch surface:
   group a heterogeneous batch into families and evaluate the whole grid.
 
@@ -76,120 +89,79 @@ __all__ = ["GridPlan", "GridFamily", "predict_grid", "predict_runs"]
 _MARKER, _TRANSFER, _KERNEL, _KERNEL_FIRST = 0, 1, 2, 3
 _CROSS = 4
 
-#: Evaluation steps of a compiled family.
+#: Evaluation steps of a lowering.
 _ST_SETTLE, _ST_SYNC, _ST_CLOSED = 0, 1, 2
+
+#: Bounds on cached lowerings (shapes), and on cached schedules per
+#: lowering and answers per family (partition counts).
+_SHAPE_CAP = 64
+_POINT_CAP = 128
 
 
 class _Phase:
-    """P-independent topology of one settle (the actions between two
-    global syncs): kinds, stream-chain ids, cost classes, precomputed
-    lane occupancies and the explicit-dependency graph."""
+    """P-independent structure of one settle (the actions between two
+    global syncs): kinds, stream-chain ids, each action's byte slot
+    (transfers) and kernel slot (kernels), ``-1`` elsewhere, and the
+    explicit-dependency graph."""
 
-    __slots__ = ("n", "kind", "chain", "klass", "lane_q", "outs", "ndeps")
+    __slots__ = ("n", "kind", "chain", "bslot", "kslot", "outs", "ndeps")
 
-    def __init__(self, kind, chain, klass, lane_q, outs, ndeps):
+    def __init__(self, kind, chain, bslot, kslot, outs, ndeps):
         self.n = len(kind)
         self.kind = kind
         self.chain = chain
-        self.klass = klass
-        self.lane_q = lane_q
+        self.bslot = bslot
+        self.kslot = kslot
         self.outs = outs
         self.ndeps = ndeps
 
 
-class _PointPhase:
-    """One phase specialized to one partition count: plain lists the
-    flat loop indexes without numpy overhead."""
+class _Lowering:
+    """One lowered skeleton (see the module docstring).
 
-    __slots__ = (
-        "kind", "stream_of", "device_of", "next_k", "cost", "remaining0",
-        "init_todo", "pdone0", "first_key",
-    )
-
-    def __init__(
-        self, kind, stream_of, device_of, next_k, cost, remaining0,
-        init_todo, n, first_key,
-    ):
-        self.kind = kind
-        self.stream_of = stream_of
-        self.device_of = device_of
-        self.next_k = next_k
-        self.cost = cost
-        self.remaining0 = remaining0
-        self.init_todo = init_todo
-        self.pdone0 = [-1.0] * n
-        self.first_key = first_key
-
-
-class _PointData:
-    """Everything per-(family, P): the lowering it evaluates, phase
-    schedules, the closed steps' per-repetition chain maxima, and the
-    memoized evaluation (the model is deterministic, so one flat-loop
-    pass per point ever)."""
-
-    __slots__ = ("S", "low", "phases", "chain_maxes", "elapsed")
-
-    def __init__(self, S, low, phases, chain_maxes):
-        self.S = S
-        self.low = low
-        self.phases = phases
-        self.chain_maxes = chain_maxes
-        self.elapsed = None
-
-
-class _FamilyBuilder:
-    """The lowered schedule of one family (see the module docstring).
-
-    :func:`~repro.workload.compile.lower_workload` records a workload
+    :func:`~repro.workload.compile.lower_skeleton` records a skeleton
     into it phase by phase: each op with a *chain id* (its tile, whose
-    ``% num_streams`` picks the stream) and each kernel as a *cost
-    class* (an :func:`invoke_cost` row materialized later, per P).
-    Dependencies stay within one spec phase, hence within one settle
-    (FIFO carry-over across a global sync is a provable no-op: the sync
-    floor dominates any earlier completion).
+    ``% num_streams`` picks the stream) and its slot.  Dependencies stay
+    within one spec phase, hence within one settle (FIFO carry-over
+    across a global sync is a provable no-op: the sync floor dominates
+    any earlier completion).
     """
 
-    def __init__(self, spec):
+    def __init__(self, skel, spec, names, device=None):
+        from repro.workload.compile import lower_skeleton, reservations
+
         self.spec = spec
-        self._bw = spec.link.bandwidth
-        self.classes: list = []
+        #: Each kernel slot's kernel name when a first invocation costs
+        #: extra, else None.
+        self.names = names
         self.phases: list[_Phase] = []
         self.steps: list[tuple] = []
-        #: Closed steps' (cost classes, chain ids), one entry per step.
+        #: Closed steps' (kernel slots, chain ids), one entry per step.
         self.chains: list[tuple[np.ndarray, np.ndarray]] = []
+        self._schedules: OrderedDict[int, _Schedule] = OrderedDict()
         self._reset()
+        lower_skeleton(skel, self, names, device)
+        #: Per card, the bytes a dataset reserves as a function of its
+        #: byte slots (:func:`~repro.workload.compile.reservations`).
+        self.reserved = reservations(skel, device)
 
     def _reset(self):
         self._kind: list[int] = []
         self._chain: list[int] = []
-        self._klass: list[int] = []
-        self._laneq: list[float] = []
+        self._slot: list[int] = []
         self._deps: list[tuple[int, ...]] = []
 
-    def kernel_class(self, work) -> int:
-        self.classes.append(work)
-        return len(self.classes) - 1
-
-    def add_ops(self, ops, kls):
-        """Append one spec phase's ops (kernel ``k`` has cost class
-        ``kls[k]``) to the settle in progress."""
-        bw = self._bw
+    def add_ops(self, ops):
+        """Append one skeleton phase's ops to the settle in progress."""
         base = len(self._kind)
-        # A transfer of 0 bytes is a residency marker: no link occupancy.
         self._kind += [
             _KERNEL if op.kind == "exe"
-            else _TRANSFER if op.nbytes > 0
-            else _MARKER
+            else _MARKER if op.slot is None
+            else _TRANSFER
             for op in ops
         ]
         self._chain += [op.tile for op in ops]
-        self._klass += [
-            kls[op.kernel] if op.kind == "exe" else -1 for op in ops
-        ]
-        # exe ops carry no bytes, so only transfers occupy the lane.
-        self._laneq += [
-            float(op.nbytes) / bw if op.nbytes > 0 else 0.0 for op in ops
-        ]
+        self._slot += [-1 if op.slot is None else op.slot for op in ops]
         deps: list[tuple[int, ...]] = [()] * len(ops)
         index: dict[str, int] = {}
         for k, op in enumerate(ops):
@@ -206,11 +178,13 @@ class _FamilyBuilder:
             for k, deps in enumerate(self._deps):
                 for p in deps:
                     outs[p] += (k,)
+            kind = np.asarray(self._kind, dtype=np.int64)
+            slot = np.asarray(self._slot, dtype=np.int64)
             phase = _Phase(
                 kind=self._kind,
                 chain=np.asarray(self._chain, dtype=np.int64),
-                klass=np.asarray(self._klass, dtype=np.int64),
-                lane_q=self._laneq,
+                bslot=np.where(kind == _TRANSFER, slot, -1),
+                kslot=np.where(kind == _KERNEL, slot, -1),
                 outs=outs,
                 ndeps=np.fromiter(
                     map(len, self._deps), dtype=np.int64, count=n
@@ -221,17 +195,142 @@ class _FamilyBuilder:
             self._reset()
         self.steps.append((_ST_SYNC, 0))
 
-    def closed(self, n, ops, kls):
+    def closed(self, n, ops):
         """``n`` repetitions of a synced ``exe``-only phase, right after
         a global sync, in closed form: each adds ``max over streams of
         sum(dispatch + cost)`` plus the global sync."""
         self.chains.append(
             (
-                np.array([kls[op.kernel] for op in ops], dtype=np.int64),
+                np.array([op.slot for op in ops], dtype=np.int64),
                 np.array([op.tile for op in ops], dtype=np.int64),
             )
         )
         self.steps.append((_ST_CLOSED, (n, len(self.chains) - 1)))
+
+    def schedule(self, places: int, num_devices: int) -> "_Schedule":
+        """This lowering at ``places`` partitions (cached)."""
+        sched = self._schedules.get(places)
+        if sched is not None:
+            self._schedules.move_to_end(places)
+            return sched
+        sched = _Schedule(self, places, num_devices)
+        self._schedules[places] = sched
+        while len(self._schedules) > _POINT_CAP:
+            self._schedules.popitem(last=False)
+        return sched
+
+
+class _SchedulePhase:
+    """One settle at one partition count: plain lists the flat loop
+    indexes without numpy overhead (``stream`` stays an array for the
+    per-family cost gather).  ``remaining`` counts one extra dependency
+    for each action of ``init``, the ready set, which the evaluator
+    releases with a virtual completion before the first event."""
+
+    __slots__ = (
+        "kind", "stream", "stream_of", "device_of", "deps", "remaining",
+        "init", "first_key",
+    )
+
+    def __init__(
+        self, kind, stream, device_of, deps, remaining, init, first_key
+    ):
+        self.kind = kind
+        self.stream = stream
+        self.stream_of = stream.tolist()
+        self.device_of = device_of
+        self.deps = deps
+        self.remaining = remaining
+        self.init = init
+        self.first_key = first_key
+
+
+class _Schedule:
+    """A lowering at one partition count (see the module docstring):
+    the stream geometry, one :class:`_SchedulePhase` per settle and each
+    closed step's stream map."""
+
+    __slots__ = ("S", "geom", "phases", "closed")
+
+    def __init__(self, low: _Lowering, places: int, num_devices: int):
+        spec = low.spec
+        self.geom = geom = stream_geometry(places, num_devices, spec)
+        self.S = S = geom.num_streams
+        first = low.names is not None
+        multi = num_devices > 1
+        self.phases = []
+        for ph in low.phases:
+            n = ph.n
+            stream = ph.chain % S
+            order = np.argsort(stream, kind="stable")
+            sorted_streams = stream[order]
+            same = sorted_streams[:-1] == sorted_streams[1:]
+            nxt = np.full(n, -1, dtype=np.int64)
+            nxt[order[:-1][same]] = order[1:][same]
+            has_pred = np.zeros(n, dtype=np.int64)
+            has_pred[order[1:][same]] = 1
+            remaining = ph.ndeps + has_pred
+            init = np.flatnonzero(remaining == 0)
+            remaining[init] = 1
+            kind, device_of, first_key = ph.kind, [0] * n, None
+            if multi or first:
+                kind = np.asarray(ph.kind)
+                dev = geom.device[stream]
+                device_of = dev.tolist()
+                if first:
+                    kind[kind == _KERNEL] = _KERNEL_FIRST
+                    first_key = [
+                        (d, low.names[s]) if s >= 0 else None
+                        for d, s in zip(device_of, ph.kslot.tolist())
+                    ]
+                if multi:
+                    src = [p for p, ks in enumerate(ph.outs) for _ in ks]
+                    dst = [k for ks in ph.outs for k in ks]
+                    if dst:
+                        src = np.asarray(src, dtype=np.int64)
+                        dst = np.asarray(dst, dtype=np.int64)
+                        crossed = np.unique(dst[dev[src] != dev[dst]])
+                        kind[crossed] += _CROSS
+                kind = kind.tolist()
+            # Merge the FIFO successor into the explicit dependents in
+            # ascending issue order (duplicates kept: an explicit dep on
+            # the FIFO predecessor counts twice).
+            outs = ph.outs
+            deps = [
+                outs[k] if d1 < 0
+                else tuple(sorted((d1, *outs[k]))) if outs[k]
+                else (d1,)
+                for k, d1 in enumerate(nxt.tolist())
+            ]
+            self.phases.append(
+                _SchedulePhase(
+                    kind,
+                    stream,
+                    device_of,
+                    deps,
+                    remaining.tolist(),
+                    init.tolist(),
+                    first_key,
+                )
+            )
+        self.closed = [chain % S for _, chain in low.chains]
+
+
+class _Columns:
+    """One family's numbers on one lowering: per settle, each action's
+    lane occupancy (transfers; 0 elsewhere) and cost class (kernels;
+    -1 elsewhere), each closed step's cost classes, and the classes'
+    kernel work."""
+
+    __slots__ = ("laneq", "klass", "chains", "classes")
+
+    def __init__(self, low: _Lowering, numbers, bandwidth: float):
+        lane = np.array([*numbers.nbytes, 0], dtype=np.float64) / bandwidth
+        kernel_of = np.array([*numbers.kernel_of, -1], dtype=np.int64)
+        self.laneq = [lane[ph.bslot].tolist() for ph in low.phases]
+        self.klass = [kernel_of[ph.kslot] for ph in low.phases]
+        self.chains = [kernel_of[kslot] for kslot, _ in low.chains]
+        self.classes = [kernel.work() for kernel in numbers.kernels]
 
 
 #: Event kinds for ``_eval_phase``'s loop (values are arbitrary — the
@@ -239,8 +338,9 @@ class _FamilyBuilder:
 _EV_START, _EV_RELEASE, _EV_DONE = 0, 1, 2
 
 
-def _eval_phase(phase, pt, tails, floor, loaded, fam):
-    """Settle one compiled phase at one grid point.
+def _eval_phase(sp, laneq, cost, tails, floor, loaded, fam):
+    """Settle one phase (``sp``, a :class:`_SchedulePhase`) at one grid
+    point, with the family's lane occupancies and the point's costs.
 
     ``tails`` (per stream) and ``loaded`` (the ``(card, kernel name)``
     pairs that have run, or ``None`` when a first invocation costs
@@ -260,20 +360,17 @@ def _eval_phase(phase, pt, tails, floor, loaded, fam):
     stream.  Within one completion, dependents activate in ascending
     issue index, and each activation takes the next global ``seq``.
     """
-    kinds = pt.kind
-    outs = phase.outs
-    laneq = phase.lane_q
-    stream_of = pt.stream_of
-    device_of = pt.device_of
-    nxt = pt.next_k
-    cost = pt.cost
-    first_key = pt.first_key
+    kinds = sp.kind
+    deps = sp.deps
+    stream_of = sp.stream_of
+    device_of = sp.device_of
+    first_key = sp.first_key
     dispatch = fam.dispatch
     lat = fam.lat
     cross_sync = fam.cross_sync
     first_extra = fam.first_extra
-    remaining = pt.remaining0[:]
-    pdone = pt.pdone0[:]
+    remaining = sp.remaining[:]
+    pdone = [-1.0] * len(remaining)
     heap: list = []
     busy = [False] * fam.num_devices
     #: Per card: ``(request time, action)`` waiting behind the occupant.
@@ -281,66 +378,39 @@ def _eval_phase(phase, pt, tails, floor, loaded, fam):
     seq = 0
     push = heappush
     pop = heappop
-
-    def activate(k):
-        nonlocal seq
-        a = pdone[k]
-        kd = kinds[k]
-        if kd >= 4:  # _CROSS: the cross-device sync precedes dispatch
-            ready = ((a if a > floor else floor) + cross_sync) + dispatch
-            kd -= 4
-        else:
-            ready = (a if a > floor else floor) + dispatch
-        if kd == 1:  # transfer: request the lane
-            push(heap, (ready, seq, _EV_START, k))
-        elif kd == 2:  # kernel
-            push(heap, (ready + cost[k], seq, _EV_DONE, k))
-        elif kd == 3:  # kernel, first invocation tracked
-            c = cost[k]
-            key = first_key[k]
-            if key not in loaded:
-                loaded.add(key)
-                c += first_extra
-            push(heap, (ready + c, seq, _EV_DONE, k))
-        else:  # marker
-            push(heap, (ready, seq, _EV_DONE, k))
-        seq += 1
-
-    for k in pt.init_todo:
-        activate(k)
-
-    while heap:
-        time, _, ev, k = pop(heap)
-        if ev == _EV_START:
-            dev = device_of[k]
-            if busy[dev]:
-                push(queues[dev], (time, k))
-            else:
-                busy[dev] = True
-                push(heap, ((time + lat) + laneq[k], seq, _EV_RELEASE, k))
-                seq += 1
-            continue
-        # _EV_RELEASE or _EV_DONE: k completes at `time`.
-        s = stream_of[k]
-        if time > tails[s]:
-            tails[s] = time
-        d1 = nxt[k]
-        if d1 < 0:
-            dependents = outs[k]
-        elif outs[k]:
-            # Merge the FIFO successor into the explicit dependents in
-            # ascending issue order (duplicates kept: an explicit dep
-            # on the FIFO predecessor counts twice).
-            dependents = sorted((d1, *outs[k]))
-        else:
-            dependents = (d1,)
+    # A virtual completion before the first event releases the ready set.
+    time, ev, k, dependents = -1.0, _EV_DONE, -1, sp.init
+    while True:
+        # k completed at `time`: count down its dependents, activating
+        # each whose last dependency this was.
         for d in dependents:
             if time > pdone[d]:
                 pdone[d] = time
             r = remaining[d] - 1
             remaining[d] = r
-            if not r:
-                activate(d)
+            if r:
+                continue
+            a = pdone[d]
+            kd = kinds[d]
+            if kd >= 4:  # _CROSS: the cross-device sync precedes dispatch
+                ready = ((a if a > floor else floor) + cross_sync) + dispatch
+                kd -= 4
+            else:
+                ready = (a if a > floor else floor) + dispatch
+            if kd == 1:  # transfer: request the lane
+                push(heap, (ready, seq, _EV_START, d))
+            elif kd == 2:  # kernel
+                push(heap, (ready + cost[d], seq, _EV_DONE, d))
+            elif kd == 3:  # kernel, first invocation tracked
+                c = cost[d]
+                key = first_key[d]
+                if key not in loaded:
+                    loaded.add(key)
+                    c += first_extra
+                push(heap, (ready + c, seq, _EV_DONE, d))
+            else:  # marker
+                push(heap, (ready, seq, _EV_DONE, d))
+            seq += 1
         if ev == _EV_RELEASE:
             dev = device_of[k]
             queue = queues[dev]
@@ -353,16 +423,47 @@ def _eval_phase(phase, pt, tails, floor, loaded, fam):
                 seq += 1
             else:
                 busy[dev] = False
+        # The next completion; lane requests are granted or queued.
+        while True:
+            if not heap:
+                return
+            time, _, ev, k = pop(heap)
+            if ev != _EV_START:
+                break
+            dev = device_of[k]
+            if busy[dev]:
+                push(queues[dev], (time, k))
+            else:
+                busy[dev] = True
+                push(heap, ((time + lat) + laneq[k], seq, _EV_RELEASE, k))
+                seq += 1
+        s = stream_of[k]
+        if time > tails[s]:
+            tails[s] = time
+        dependents = deps[k]
 
 
-#: Bound on cached per-P point schedules per family.
-_POINT_CAP = 128
+class _PointData:
+    """Everything one (family, P) evaluation reads: the lowering and
+    its schedule, the family's lane occupancies, the point's costs and
+    its closed steps' per-repetition chain maxima.  Built per new point
+    and dropped once the answer is memoized."""
+
+    __slots__ = ("S", "low", "sched", "laneq", "cost", "chain_maxes")
+
+    def __init__(self, S, low, sched, laneq, cost, chain_maxes):
+        self.S = S
+        self.low = low
+        self.sched = sched
+        self.laneq = laneq
+        self.cost = cost
+        self.chain_maxes = chain_maxes
 
 
 class _CompiledFamily:
-    """One family: the device spec's constants, the lowered schedule
+    """One family: the device spec's constants, its lowering and columns
     (single-device families; a multi-device family lowers per P), and
-    the per-P point-schedule cache."""
+    its memoized answers, one per partition count."""
 
     def __init__(self, app, num_devices: int):
         self.app = app
@@ -374,102 +475,42 @@ class _CompiledFamily:
         self.cross_sync = over.cross_device_sync
         self.first_extra = over.first_invoke_extra
         self.lat = spec.link.latency
-        #: The P-independent lowering, or None when it depends on P.
-        self.low: "_FamilyBuilder | None" = None
+        #: The P-independent lowering and this family's columns on it,
+        #: or None when they depend on P.
+        self.low: "_Lowering | None" = None
+        self.cols: "_Columns | None" = None
         # AppRun fields shared by every point of the family.
         self.app_name = app.name
         self.app_tiles = app.tiles
         self.app_flops = app.total_flops()
-        self._points: OrderedDict[int, _PointData] = OrderedDict()
-
-    def lower(self, workload, device=None) -> _FamilyBuilder:
-        """Record ``workload`` (``device``: each stream's card, for a
-        per-P multi-device lowering)."""
-        from repro.workload.compile import lower_workload
-
-        bld = _FamilyBuilder(self.spec)
-        lower_workload(workload, bld, device)
-        return bld
+        #: P -> predicted elapsed seconds (the model is deterministic,
+        #: so one flat-loop pass per point ever).
+        self._points: OrderedDict[int, float] = OrderedDict()
 
     # -- per-P specialization ----------------------------------------------
 
-    def _point(self, places: int) -> _PointData:
-        pt = self._points.get(places)
-        if pt is not None:
-            self._points.move_to_end(places)
-            return pt
-        pt = self._build_point(places)
-        self._points[places] = pt
-        while len(self._points) > _POINT_CAP:
-            self._points.popitem(last=False)
-        return pt
-
     def _build_point(self, places: int) -> _PointData:
-        geom = stream_geometry(places, self.num_devices, self.spec)
-        S = geom.num_streams
-        low = self.low
-        multi = low is None
-        if multi:
-            device = geom.device.tolist()
-            low = self.lower(
-                _model_port(self.app, places, self.num_devices), device
+        low, cols = self.low, self.cols
+        if low is None:
+            geom = stream_geometry(places, self.num_devices, self.spec)
+            low, cols = _lowered(
+                self.spec,
+                _model_parts(self.app, places, self.num_devices),
+                geom.device.tolist(),
             )
-        first = self.first_extra > 0.0
-        names = [w.name for w in low.classes]
-        rows = [invoke_cost(w, geom, self.spec) for w in low.classes]
+        sched = low.schedule(places, self.num_devices)
+        S = sched.S
+        rows = [invoke_cost(w, sched.geom, self.spec) for w in cols.classes]
         ctable = (
             np.vstack(rows) if rows else np.zeros((0, S), dtype=np.float64)
         )
         padded = np.vstack([np.zeros((1, S), dtype=np.float64), ctable])
-        phases = []
-        for ph in low.phases:
-            stream = ph.chain % S
-            order = np.argsort(stream, kind="stable")
-            sorted_streams = stream[order]
-            same = sorted_streams[:-1] == sorted_streams[1:]
-            nxt = np.full(ph.n, -1, dtype=np.int64)
-            nxt[order[:-1][same]] = order[1:][same]
-            has_pred = np.zeros(ph.n, dtype=np.int64)
-            has_pred[order[1:][same]] = 1
-            remaining = ph.ndeps + has_pred
-            init = np.flatnonzero(remaining == 0)
-            cost = padded[ph.klass + 1, stream]
-            kind, device_of, first_key = ph.kind, [0] * ph.n, None
-            if multi or first:
-                kind = np.asarray(ph.kind)
-                dev = geom.device[stream]
-                device_of = dev.tolist()
-                if first:
-                    kind[kind == _KERNEL] = _KERNEL_FIRST
-                    first_key = [
-                        (d, names[c]) if c >= 0 else None
-                        for d, c in zip(device_of, ph.klass.tolist())
-                    ]
-                if multi:
-                    src = [p for p, ks in enumerate(ph.outs) for _ in ks]
-                    dst = [k for ks in ph.outs for k in ks]
-                    if dst:
-                        src = np.asarray(src, dtype=np.int64)
-                        dst = np.asarray(dst, dtype=np.int64)
-                        crossed = np.unique(dst[dev[src] != dev[dst]])
-                        kind[crossed] += _CROSS
-                kind = kind.tolist()
-            phases.append(
-                _PointPhase(
-                    kind,
-                    stream.tolist(),
-                    device_of,
-                    nxt.tolist(),
-                    cost.tolist(),
-                    remaining.tolist(),
-                    init.tolist(),
-                    ph.n,
-                    first_key,
-                )
-            )
+        cost = [
+            padded[klass + 1, sp.stream].tolist()
+            for klass, sp in zip(cols.klass, sched.phases)
+        ]
         chain_maxes = []
-        for klass, chain in low.chains:
-            s_of_t = chain % S
+        for klass, s_of_t in zip(cols.chains, sched.closed):
             cost_t = ctable[klass, s_of_t]
             chain_maxes.append(
                 float(
@@ -480,26 +521,29 @@ class _CompiledFamily:
                     ).max()
                 )
             )
-        return _PointData(S, low, phases, chain_maxes)
+        return _PointData(S, low, sched, cols.laneq, cost, chain_maxes)
 
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, places: int) -> float:
         """Predicted elapsed seconds at one partition count."""
-        pt = self._point(places)
-        if pt.elapsed is not None:
-            return pt.elapsed
+        t = self._points.get(places)
+        if t is not None:
+            self._points.move_to_end(places)
+            return t
+        pt = self._build_point(places)
         S = pt.S
         tails = [0.0] * S
         floor = 0.0
         loaded = set() if self.first_extra > 0.0 else None
         t = 0.0
         spp = self.spp
-        phases = pt.low.phases
+        phases, laneq, cost = pt.sched.phases, pt.laneq, pt.cost
         for op, arg in pt.low.steps:
             if op == _ST_SETTLE:
                 _eval_phase(
-                    phases[arg], pt.phases[arg], tails, floor, loaded, self
+                    phases[arg], laneq[arg], cost[arg], tails, floor,
+                    loaded, self,
                 )
             elif op == _ST_SYNC:
                 t = max(tails)
@@ -511,7 +555,9 @@ class _CompiledFamily:
                 t += n * (pt.chain_maxes[c] + S * spp)
                 tails = [t] * S
                 floor = t
-        pt.elapsed = t
+        self._points[places] = t
+        while len(self._points) > _POINT_CAP:
+            self._points.popitem(last=False)
         return t
 
     def wrap(self, places: int, elapsed: float) -> AppRun:
@@ -527,7 +573,7 @@ class _CompiledFamily:
         )
 
 
-# -- family compilation (module-level cache) ----------------------------------
+# -- lowering (module-level caches) -------------------------------------------
 
 #: family key -> _CompiledFamily, or the ModelUnsupportedError that
 #: refused it.
@@ -536,16 +582,21 @@ _FAMILIES: "OrderedDict[tuple, _CompiledFamily | ModelUnsupportedError]" = (
 )
 _FAMILY_CAP = 64
 
+#: shape key -> the _Lowering every dataset of that shape shares.
+_SHAPES: "OrderedDict[tuple, _Lowering]" = OrderedDict()
+
 
 def clear_grid_caches() -> None:
-    """Drop every compiled family (tests and recalibration hooks)."""
+    """Drop every compiled family and lowered shape (tests and
+    recalibration hooks)."""
     _FAMILIES.clear()
+    _SHAPES.clear()
 
 
 def _family_key(spec: "RunSpec") -> tuple:
-    """Specs that share one lowering: same app construction, same run
-    geometry class.  The device spec rides inside ``app_kwargs``, so a
-    recalibrated model is a different family."""
+    """Specs that share one compiled family: same app construction,
+    same run geometry class.  The device spec rides inside
+    ``app_kwargs``, so a recalibrated model is a different family."""
     return (
         spec.app_cls,
         spec.app_args,
@@ -556,16 +607,69 @@ def _family_key(spec: "RunSpec") -> tuple:
     )
 
 
-def _model_port(app, places: int = 1, num_devices: int = 1):
-    """The workload the analytic model evaluates for ``app`` (its
-    port), or :class:`ModelUnsupportedError` for runs it cannot
-    reproduce."""
-    from repro.workload.ports import workload_of
+def _model_parts(app, places: int = 1, num_devices: int = 1) -> tuple:
+    """``app``'s port as ``(shape, skeleton, numbers)``, or
+    :class:`ModelUnsupportedError` for runs it cannot reproduce.
+
+    A paper app whose byte counts are all positive ints comes back as
+    its shape (``skeleton`` None).  A scenario, or a dataset outside
+    its shape (a zero byte count is a marker; an invalid one is refused
+    as the spec refuses it), comes back with the skeleton of its own
+    spec instead (``shape`` None).
+    """
+    from repro.workload.compile import skeleton_of
+    from repro.workload.ports import port_parts, workload_of
 
     try:
-        return workload_of(app, places, num_devices)
+        shape, numbers = port_parts(app)
+        if shape is not None and all(
+            type(n) is int and n > 0 for n in numbers.nbytes
+        ):
+            return shape, None, numbers
+        skel, numbers = skeleton_of(workload_of(app, places, num_devices))
+        return None, skel, numbers
     except ConfigurationError as exc:
         raise ModelUnsupportedError(str(exc)) from exc
+
+
+def _lowered(spec, parts: tuple, device=None) -> "tuple[_Lowering, _Columns]":
+    """The lowering of :func:`_model_parts`' ``parts`` (``device``: each
+    stream's card for a per-P multi-device lowering) and the dataset's
+    columns on it, or :class:`ModelUnsupportedError` when its buffers
+    overflow a card.
+
+    A shape's lowering is cached, keyed by everything that fixes its
+    structure: the shape, the device layout, the device spec and, when a
+    first invocation costs extra, each kernel slot's name.  The first
+    dataset of a shape assembles and validates its whole spec, so the
+    structural checks run once per skeleton.
+    """
+    from repro.workload.compile import check_reserved
+    from repro.workload.ports import port_skeleton
+
+    shape, skel, numbers = parts
+    names = None
+    if spec.overheads.first_invoke_extra > 0.0:
+        kernels = numbers.kernels
+        names = tuple(kernels[k].name for k in numbers.kernel_of)
+    if shape is None:
+        low = _Lowering(skel, spec, names, device)
+    else:
+        key = (shape, None if device is None else tuple(device), spec, names)
+        low = _SHAPES.get(key)
+        if low is None:
+            skel = port_skeleton(shape, device)
+            try:
+                skel.assemble(numbers)
+            except ConfigurationError as exc:
+                raise ModelUnsupportedError(str(exc)) from exc
+            low = _SHAPES[key] = _Lowering(skel, spec, names, device)
+            while len(_SHAPES) > _SHAPE_CAP:
+                _SHAPES.popitem(last=False)
+        else:
+            _SHAPES.move_to_end(key)
+    check_reserved(low.reserved, numbers.nbytes, spec.memory_bytes)
+    return low, _Columns(low, numbers, spec.link.bandwidth)
 
 
 def _compile_family(spec0: "RunSpec") -> _CompiledFamily:
@@ -580,16 +684,16 @@ def _compile_family(spec0: "RunSpec") -> _CompiledFamily:
             "analytic engine produces no event trace (keep_timeline=True)"
         )
     app = spec0.build_app()
-    # A multi-device port depends on P: it is built per point.
-    port = _model_port(app) if spec0.num_devices == 1 else None
+    # A multi-device port depends on P: it is lowered per point.
+    parts = _model_parts(app) if spec0.num_devices == 1 else None
     if getattr(app, "materialize", False):
         raise ModelUnsupportedError(
             "real-data runs (materialize=True) need the simulator"
         )
     check_supported(app.spec)
     fam = _CompiledFamily(app, spec0.num_devices)
-    if port is not None:
-        fam.low = fam.lower(port)
+    if parts is not None:
+        fam.low, fam.cols = _lowered(app.spec, parts)
     return fam
 
 
@@ -689,7 +793,7 @@ class GridPlan:
         """
         results: list = [None] * len(self.specs)
         n_points = fam_array = fam_refused = 0
-        eval_seconds = 0.0
+        eval_seconds = []  # one entry per evaluated family
         for fam in self.families:
             compiled = fam.compiled
             if compiled is None:
@@ -709,7 +813,7 @@ class GridPlan:
                     continue
                 results[i] = compiled.wrap(places, elapsed)
                 n_points += 1
-            eval_seconds += perf_counter() - t0
+            eval_seconds.append(perf_counter() - t0)
         if self.specs:
             registry = get_registry()
             if fam_array:
@@ -724,9 +828,9 @@ class GridPlan:
                 registry.counter(
                     "engine.grid.points", route="array"
                 ).inc(n_points)
-            registry.histogram("engine.grid.eval_seconds").observe(
-                eval_seconds
-            )
+            histogram = registry.histogram("engine.grid.eval_seconds")
+            for seconds in eval_seconds:
+                histogram.observe(seconds)
         return results
 
     def evaluate(self) -> np.ndarray:

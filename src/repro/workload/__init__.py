@@ -3,12 +3,12 @@
 The workload DSL describes a streamed scenario — phases of tile-tagged
 transfer/kernel ops with optional same-phase dependencies — as plain
 data.  One spec drives every engine: :class:`WorkloadApp` runs it on
-the DES, and :func:`~repro.workload.compile.lower_workload` records it
-into the grid path's family builder, which the analytic model evaluates
-at one point or over a whole grid.  :func:`workload_of` ports the six
-paper apps to specs, and those ports are the only model schedules the
-engines evaluate for them; :class:`ScenarioGenerator` draws
-reproducible random scenarios for fuzzing and corpus generation.
+the DES, and :func:`~repro.workload.compile.lower_skeleton` records its
+op graph into the grid path's lowering, which the analytic model
+evaluates at one point or over a whole grid.  :func:`workload_of` ports
+the six paper apps to specs, and those ports are the only model
+schedules the engines evaluate for them; :class:`ScenarioGenerator`
+draws reproducible random scenarios for fuzzing and corpus generation.
 """
 
 from repro.workload.app import WorkloadApp

@@ -4,10 +4,20 @@
 :class:`~repro.workload.spec.WorkloadSpec` — the same transfers, the
 same dedup/residency bookkeeping, the same dependency edges, in the
 same emission order.  A port is its app's only hand-written model
-schedule: the grid path lowers it once per family (once per (family, P)
-on several devices) with :func:`~repro.workload.compile.lower_workload`,
-and :func:`repro.engine.profiles.predict_run` evaluates that lowering
-at one point.
+schedule, in two parts (see :mod:`repro.workload.compile`):
+
+* a *skeleton builder*, a pure function of the app's **shape**
+  arguments: the tile count or grid side, the iteration count, and, on
+  several devices, each stream's device.  It fixes the op graph and
+  leaves every byte count and kernel as a slot;
+* a *numbers* function, which reads the dataset: the bytes of each byte
+  slot and the kernel work of each kernel slot (one work descriptor per
+  distinct tile size, as the apps dedup them).
+
+:func:`workload_of` assembles the two.  The grid path
+(:mod:`repro.engine.grid`) lowers one skeleton per shape, and carries
+each dataset's numbers as per-family columns.  Hotspot's ``p2p`` halo
+exchange and Cholesky's non-owner stream mappings have no port.
 
 A port is *DES-exact*: ``WorkloadApp(workload_of(app, places=P,
 num_devices=N))`` run at ``places=P, num_devices=N`` produces
@@ -44,7 +54,13 @@ from repro.kernels.matmul import gemm_work
 from repro.kernels.nn import nn_work
 from repro.kernels.srad import srad_statistics_work, srad_update_work
 from repro.workload.app import WorkloadApp
-from repro.workload.spec import KernelSpec, OpSpec, PhaseSpec, WorkloadSpec
+from repro.workload.compile import (
+    Numbers,
+    Skeleton,
+    SkeletonOp as Op,
+    SkeletonPhase as Phase,
+)
+from repro.workload.spec import KernelSpec, WorkloadSpec
 
 
 class _Kernels:
@@ -82,14 +98,30 @@ def _device(devices, tile: int):
     return None if devices is None else devices[tile % len(devices)]
 
 
-def _port_matmul(app: MatMulApp, devices) -> WorkloadSpec:
+def _band_sizes(bands) -> list[int]:
+    return [hi - lo for lo, hi in bands]
+
+
+# -- MatMul: shape (grid side,) ------------------------------------------------
+
+
+def _matmul_numbers(app: MatMulApp):
     d, g = app.d, app.grid
     block = d // g
     itemsize = app.dtype.itemsize
     kernels = _Kernels()
     gemm = kernels.add(gemm_work(block, block, d, itemsize, app.spec))
-    row_bytes = block * d * itemsize
-    ops: list[OpSpec] = []
+    return (g,), Numbers(
+        f"mm-d{d}-t{g * g}",
+        tuple(kernels.specs),
+        (gemm,),
+        (block * d * itemsize, block * block * itemsize),
+    )
+
+
+def _matmul_skeleton(g: int, devices) -> Skeleton:
+    # Byte slots: 0 an A row / B column block, 1 a C tile.
+    ops: list[Op] = []
     # Each A row block and B column block is uploaded once per device;
     # the upload's name is its dedup key.
     uploaded: set[str] = set()
@@ -101,103 +133,117 @@ def _port_matmul(app: MatMulApp, devices) -> WorkloadSpec:
         for name in (a, b):
             if name not in uploaded:
                 uploaded.add(name)
-                ops.append(OpSpec("h2d", t, row_bytes, name=name))
-        ops.append(OpSpec("exe", t, kernel=gemm, deps=(a, b)))
-        ops.append(OpSpec("d2h", t, block * block * itemsize))
-    return WorkloadSpec(
-        name=f"mm-d{d}-t{g * g}",
-        kernels=tuple(kernels.specs),
-        phases=(PhaseSpec(ops=tuple(ops), sync=False),),
-    )
+                ops.append(Op("h2d", t, 0, name))
+        ops.append(Op("exe", t, 0, deps=(a, b)))
+        ops.append(Op("d2h", t, 1))
+    return Skeleton((Phase(tuple(ops), sync=False),))
 
 
-def _port_nn(app: NNApp, devices) -> WorkloadSpec:
+# -- NN: shape (tile count, empty tiles) --------------------------------------
+
+
+def _nn_numbers(app: NNApp):
     bounds = np.linspace(0, app.n_records, app.tiles + 1).astype(int)
-    tiles = [
-        (t, int(hi - lo))
-        for t, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
-        if hi > lo
-    ]
+    counts = [int(hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+    present = [count for count in counts if count > 0]
     kernels = _Kernels()
-    kls = kernels.per_tile(
-        [count for _, count in tiles], lambda n: nn_work(n, 4, app.spec)
-    )
-    ops: list[OpSpec] = []
-    for (t, count), kl in zip(tiles, kls):
-        ops.append(OpSpec("h2d", t, count * 2 * 4))
-        ops.append(OpSpec("h2d", t, 0))  # output residency marker
-        ops.append(OpSpec("exe", t, kernel=kl))
-        ops.append(OpSpec("d2h", t, count * 4))
-    return WorkloadSpec(
-        name=f"nn-r{app.n_records}-t{app.tiles}",
-        kernels=tuple(kernels.specs),
-        phases=(PhaseSpec(ops=tuple(ops), sync=False),),
+    kls = kernels.per_tile(present, lambda n: nn_work(n, 4, app.spec))
+    empty = tuple(t for t, count in enumerate(counts) if count <= 0)
+    return (app.tiles, empty), Numbers(
+        f"nn-r{app.n_records}-t{app.tiles}",
+        tuple(kernels.specs),
+        tuple(kls),
+        tuple(b for count in present for b in (count * 2 * 4, count * 4)),
     )
 
 
-def _port_kmeans(app: KmeansApp, devices) -> WorkloadSpec:
+def _nn_skeleton(tiles: int, empty: tuple, devices) -> Skeleton:
+    # Byte slots: 2i the i-th present tile's records, 2i+1 its results.
+    ops: list[Op] = []
+    present = (t for t in range(tiles) if t not in empty)
+    for i, t in enumerate(present):
+        ops.append(Op("h2d", t, 2 * i))
+        ops.append(Op("h2d", t, None))  # output residency marker
+        ops.append(Op("exe", t, i))
+        ops.append(Op("d2h", t, 2 * i + 1))
+    return Skeleton((Phase(tuple(ops), sync=False),))
+
+
+# -- Kmeans: shape (tile count, iterations) -----------------------------------
+
+
+def _kmeans_numbers(app: KmeansApp):
     f = app.n_features
-    tiles = app._tile_bounds()
+    sizes = _band_sizes(app._tile_bounds())
     kernels = _Kernels()
     kls = kernels.per_tile(
-        [hi - lo for lo, hi in tiles],
+        sizes,
         lambda n: kmeans_assign_work(n, app.n_clusters, f, 4, app.spec),
     )
-    uploads = tuple(
-        OpSpec("h2d", t, (hi - lo) * f * 4)
-        for t, (lo, hi) in enumerate(tiles)
-    )
-    assigns = tuple(
-        OpSpec("exe", t, kernel=kl) for t, kl in enumerate(kls)
-    )
-    return WorkloadSpec(
-        name=f"kmeans-n{app.n_points}-t{len(tiles)}",
-        kernels=tuple(kernels.specs),
-        phases=(
-            PhaseSpec(ops=uploads, sync=False),
-            PhaseSpec(ops=assigns, sync=True, repeat=app.iterations),
-        ),
+    return (len(sizes), app.iterations), Numbers(
+        f"kmeans-n{app.n_points}-t{len(sizes)}",
+        tuple(kernels.specs),
+        tuple(kls),
+        tuple(n * f * 4 for n in sizes),
     )
 
 
-def _port_hotspot(app: HotspotApp, devices) -> WorkloadSpec:
+def _kmeans_skeleton(tiles: int, iterations: int, devices) -> Skeleton:
+    uploads = tuple(Op("h2d", t, t) for t in range(tiles))
+    assigns = tuple(Op("exe", t, t) for t in range(tiles))
+    return Skeleton(
+        (
+            Phase(uploads, sync=False),
+            Phase(assigns, sync=True, repeat=iterations),
+        )
+    )
+
+
+# -- Hotspot: shape (row bands, iterations) -----------------------------------
+
+
+def _hotspot_numbers(app: HotspotApp):
     if app.halo_sync != "global":
         raise ConfigurationError(
             "only Hotspot's global halo barrier is portable to a "
             f"workload spec (halo_sync={app.halo_sync!r})"
         )
     d = app.d
-    bands = app._row_bands()
+    sizes = _band_sizes(app._row_bands())
     kernels = _Kernels()
-    kls = kernels.per_tile(
-        [hi - lo for lo, hi in bands],
-        lambda n: hotspot_work(n, d, 4, app.spec),
-    )
-    uploads: list[OpSpec] = []
-    for t, (lo, hi) in enumerate(bands):
-        uploads.append(OpSpec("h2d", t, (hi - lo) * d * 4))  # temp
-        uploads.append(OpSpec("h2d", t, (hi - lo) * d * 4))  # power
-        uploads.append(OpSpec("h2d", t, 0))  # scratch marker
-    steps = tuple(OpSpec("exe", t, kernel=kl) for t, kl in enumerate(kls))
-    downloads = tuple(
-        OpSpec("d2h", t, (hi - lo) * d * 4)
-        for t, (lo, hi) in enumerate(bands)
-    )
-    return WorkloadSpec(
-        name=f"hotspot-d{d}-t{len(bands)}",
-        kernels=tuple(kernels.specs),
-        phases=(
-            PhaseSpec(ops=tuple(uploads), sync=True),
-            PhaseSpec(ops=steps, sync=True, repeat=app.iterations),
-            PhaseSpec(ops=downloads, sync=False),
-        ),
+    kls = kernels.per_tile(sizes, lambda n: hotspot_work(n, d, 4, app.spec))
+    return (len(sizes), app.iterations), Numbers(
+        f"hotspot-d{d}-t{len(sizes)}",
+        tuple(kernels.specs),
+        tuple(kls),
+        tuple(n * d * 4 for n in sizes),
     )
 
 
-def _port_srad(app: SradApp, devices) -> WorkloadSpec:
+def _hotspot_skeleton(bands: int, iterations: int, devices) -> Skeleton:
+    # Byte slot t: one grid of band t (temperature, power, result).
+    uploads: list[Op] = []
+    for t in range(bands):
+        uploads.append(Op("h2d", t, t))  # temp
+        uploads.append(Op("h2d", t, t))  # power
+        uploads.append(Op("h2d", t, None))  # scratch marker
+    steps = tuple(Op("exe", t, t) for t in range(bands))
+    downloads = tuple(Op("d2h", t, t) for t in range(bands))
+    return Skeleton(
+        (
+            Phase(tuple(uploads), sync=True),
+            Phase(steps, sync=True, repeat=iterations),
+            Phase(downloads, sync=False),
+        )
+    )
+
+
+# -- SRAD: shape (row bands, iterations) --------------------------------------
+
+
+def _srad_numbers(app: SradApp):
     d = app.d
-    bands = app._row_bands()
-    sizes = [hi - lo for lo, hi in bands]
+    sizes = _band_sizes(app._row_bands())
     kernels = _Kernels()
     stats_kls = kernels.per_tile(
         sizes, lambda n: srad_statistics_work(n, d, 4, app.spec)
@@ -205,54 +251,72 @@ def _port_srad(app: SradApp, devices) -> WorkloadSpec:
     update_kls = kernels.per_tile(
         sizes, lambda n: srad_update_work(n, d, 4, app.spec)
     )
-    uploads: list[OpSpec] = []
-    for t, (lo, hi) in enumerate(bands):
-        uploads.append(OpSpec("h2d", t, (hi - lo) * d * 4))  # image
-        uploads.append(OpSpec("h2d", t, 0))  # scratch marker
-    downloads = tuple(
-        OpSpec("d2h", t, (hi - lo) * d * 4)
-        for t, (lo, hi) in enumerate(bands)
+    return (len(sizes), app.iterations), Numbers(
+        f"srad-d{d}-t{len(sizes)}",
+        tuple(kernels.specs),
+        (*stats_kls, *update_kls),
+        tuple(n * d * 4 for n in sizes),
     )
-    # The statistics/update pair repeats as a unit; PhaseSpec.repeat
+
+
+def _srad_skeleton(bands: int, iterations: int, devices) -> Skeleton:
+    # Byte slot t: band t of the image; kernel slots t (statistics) and
+    # bands + t (update).
+    uploads: list[Op] = []
+    for t in range(bands):
+        uploads.append(Op("h2d", t, t))  # image
+        uploads.append(Op("h2d", t, None))  # scratch marker
+    downloads = tuple(Op("d2h", t, t) for t in range(bands))
+    # The statistics/update pair repeats as a unit; a phase's repeat
     # covers a single phase, so the iterations unroll explicitly here,
     # every iteration sharing the same two phase objects.
     stats, update = (
-        PhaseSpec(
-            ops=tuple(OpSpec("exe", t, kernel=kl) for t, kl in enumerate(kls)),
-            sync=True,
+        Phase(tuple(Op("exe", t, base + t) for t in range(bands)), sync=True)
+        for base in (0, bands)
+    )
+    return Skeleton(
+        (
+            Phase(tuple(uploads), sync=True),
+            *(stats, update) * iterations,
+            Phase(downloads, sync=False),
         )
-        for kls in (stats_kls, update_kls)
-    )
-    return WorkloadSpec(
-        name=f"srad-d{d}-t{len(bands)}",
-        kernels=tuple(kernels.specs),
-        phases=(
-            PhaseSpec(ops=tuple(uploads), sync=True),
-            *(stats, update) * app.iterations,
-            PhaseSpec(ops=downloads, sync=False),
-        ),
     )
 
 
-def _port_cholesky(app: CholeskyApp, devices) -> WorkloadSpec:
+# -- Cholesky: shape (grid side,) ---------------------------------------------
+
+#: Cholesky's kernel slots.
+_CF_KERNELS = ("potrf", "trsm", "syrk", "gemm")
+
+
+def _cholesky_numbers(app: CholeskyApp):
     if app.mapping != "owner":
         raise ConfigurationError(
             "only the owner stream mapping is portable to a workload "
             f"spec (mapping={app.mapping!r})"
         )
-    nb, b = app.nb, app.block
-    tile_bytes = b * b * 8
+    b = app.block
     kernels = _Kernels()
-    kls = {
-        kind: kernels.add(work)
-        for kind, work in (
-            ("potrf", potrf_work(b, 8, app.spec)),
-            ("trsm", trsm_work(b, 8, app.spec)),
-            ("syrk", syrk_update_work(b, 8, app.spec)),
-            ("gemm", gemm_update_work(b, 8, app.spec)),
+    kls = tuple(
+        kernels.add(work)
+        for work in (
+            potrf_work(b, 8, app.spec),
+            trsm_work(b, 8, app.spec),
+            syrk_update_work(b, 8, app.spec),
+            gemm_update_work(b, 8, app.spec),
         )
-    }
-    ops: list[OpSpec] = []
+    )
+    return (app.nb,), Numbers(
+        f"cf-d{app.d}-t{app.nb * app.nb}",
+        tuple(kernels.specs),
+        kls,
+        (b * b * 8,),
+    )
+
+
+def _cholesky_skeleton(nb: int, devices) -> Skeleton:
+    # Byte slot 0: one tile; kernel slots as in _CF_KERNELS.
+    ops: list[Op] = []
     last_writer: dict[tuple[int, int], str] = {}
     resident: dict[tuple[int, int], set] = {}
 
@@ -276,20 +340,19 @@ def _port_cholesky(app: CholeskyApp, devices) -> WorkloadSpec:
         deps = tuple(after)
         first = True
         for _ in range(n_h2d):
-            ops.append(
-                OpSpec("h2d", tile, tile_bytes, deps=deps if first else ())
-            )
+            ops.append(Op("h2d", tile, 0, deps=deps if first else ()))
             first = False
-        exe = OpSpec(
-            "exe",
-            tile,
-            kernel=kls[kind],
-            deps=deps if first else (),
-            name=None if with_d2h else name,
+        ops.append(
+            Op(
+                "exe",
+                tile,
+                _CF_KERNELS.index(kind),
+                None if with_d2h else name,
+                deps if first else (),
+            )
         )
-        ops.append(exe)
         if with_d2h:
-            ops.append(OpSpec("d2h", tile, tile_bytes, name=name))
+            ops.append(Op("d2h", tile, 0, name))
 
     for j in range(nb):
         after = [last_writer[(j, j)]] if (j, j) in last_writer else []
@@ -318,22 +381,46 @@ def _port_cholesky(app: CholeskyApp, devices) -> WorkloadSpec:
                 n = h2d_count(i, reads=reads, writes=((i, k),))
                 emit(name, kind, i, after, n, with_d2h=False)
                 last_writer[(i, k)] = name
-    return WorkloadSpec(
-        name=f"cf-d{app.d}-t{nb * nb}",
-        kernels=tuple(kernels.specs),
-        phases=(PhaseSpec(ops=tuple(ops), sync=False),),
-    )
+    return Skeleton((Phase(tuple(ops), sync=False),))
 
 
+#: App class -> (numbers, skeleton builder); a WorkloadApp is its own
+#: port.
 _PORTS = {
-    MatMulApp: _port_matmul,
-    NNApp: _port_nn,
-    KmeansApp: _port_kmeans,
-    HotspotApp: _port_hotspot,
-    SradApp: _port_srad,
-    CholeskyApp: _port_cholesky,
-    WorkloadApp: lambda app, devices: app.workload,
+    MatMulApp: (_matmul_numbers, _matmul_skeleton),
+    NNApp: (_nn_numbers, _nn_skeleton),
+    KmeansApp: (_kmeans_numbers, _kmeans_skeleton),
+    HotspotApp: (_hotspot_numbers, _hotspot_skeleton),
+    SradApp: (_srad_numbers, _srad_skeleton),
+    CholeskyApp: (_cholesky_numbers, _cholesky_skeleton),
+    WorkloadApp: None,
 }
+
+
+def _port(app):
+    if type(app) not in _PORTS:
+        raise ConfigurationError(
+            f"no workload port for app class {type(app).__name__}"
+        )
+    return _PORTS[type(app)]
+
+
+def port_parts(app) -> "tuple[tuple | None, Numbers | None]":
+    """``app``'s port as ``(shape, numbers)``: ``shape`` is the app
+    class and its skeleton's arguments (:func:`port_skeleton` builds the
+    skeleton from it, plus a device layout).  A :class:`WorkloadApp`
+    has neither: it is its own port."""
+    port = _port(app)
+    if port is None:
+        return None, None
+    args, numbers = port[0](app)
+    return (type(app), *args), numbers
+
+
+def port_skeleton(shape: tuple, devices=None) -> Skeleton:
+    """The skeleton of a :func:`port_parts` shape (``devices``: each
+    stream's device, or ``None`` on one device)."""
+    return _PORTS[shape[0]][1](*shape[1:], devices)
 
 
 def workload_of(app, places: int = 1, num_devices: int = 1) -> WorkloadSpec:
@@ -341,11 +428,7 @@ def workload_of(app, places: int = 1, num_devices: int = 1) -> WorkloadSpec:
     run at ``places`` partitions over ``num_devices`` cards (the layout
     only matters to MatMul and Cholesky on several devices; see the
     module docstring).  A :class:`WorkloadApp` is its own port."""
-    port = _PORTS.get(type(app))
-    if port is None:
-        raise ConfigurationError(
-            f"no workload port for app class {type(app).__name__}"
-        )
+    port = _port(app)
     devices = None
     if num_devices != 1:
         if not 1 <= num_devices <= places:
@@ -355,4 +438,7 @@ def workload_of(app, places: int = 1, num_devices: int = 1) -> WorkloadSpec:
             )
         geometry = stream_geometry(places, num_devices, app.spec)
         devices = geometry.device.tolist()
-    return port(app, devices)
+    if port is None:
+        return app.workload
+    shape, numbers = port_parts(app)
+    return port_skeleton(shape, devices).assemble(numbers)

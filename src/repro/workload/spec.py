@@ -9,7 +9,7 @@ sync-delimited phases with repeat counts — so one description can be
 
 * executed on the DES (:class:`repro.workload.app.WorkloadApp`),
 * lowered to the analytic model's grid path
-  (:func:`repro.workload.compile.lower_workload`) and costed there at
+  (:func:`repro.workload.compile.lower_skeleton`) and costed there at
   one point or over a whole grid,
 
 with both walking the same phase/op order (the model advances

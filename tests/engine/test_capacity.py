@@ -12,6 +12,7 @@ import pytest
 
 from repro.apps import MatMulApp
 from repro.device.spec import PHI_31SP
+from repro.engine.grid import clear_grid_caches
 from repro.errors import DeviceMemoryError, ModelUnsupportedError
 from repro.metrics.registry import scoped_registry
 from repro.parallel import RunSpec, SweepError, SweepExecutor
@@ -60,6 +61,25 @@ def test_hybrid_falls_back_to_the_des_error_as_sim_does():
             SweepExecutor(
                 jobs=1, engine="hybrid"
             ).map(specs + [RunSpec.for_app(MatMulApp, 600, 16, places=4)])
+
+
+def test_over_capacity_dataset_is_refused_on_a_shape_hit():
+    # MatMul (600, 16) lowers the 4x4-grid shape that OVERSIZED shares;
+    # capacity is still checked against OVERSIZED's own bytes.
+    clear_grid_caches()
+    fits = RunSpec.for_app(MatMulApp, 600, 16, places=4)
+    assert fits.predict().elapsed > 0
+    with pytest.raises(ModelUnsupportedError, match="memory"):
+        OVERSIZED.predict()
+    # As above, the oversized member is not among the calibration
+    # points: only its refusal sends the family to the DES.
+    small = [RunSpec.for_app(MatMulApp, 600, 16, places=p) for p in (1, 2)]
+    with scoped_registry():
+        with pytest.raises(SweepError, match="device memory exhausted"):
+            SweepExecutor(jobs=1, engine="hybrid").map(
+                [small[0], OVERSIZED, small[1], fits]
+            )
+    clear_grid_caches()
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])

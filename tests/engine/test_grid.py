@@ -10,6 +10,7 @@ family by family.  ``test_model_pins.py`` pins the answers themselves.
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.apps import (
@@ -20,9 +21,11 @@ from repro.apps import (
     NNApp,
     SradApp,
 )
+from repro.device.spec import PHI_31SP, RuntimeOverheads
 from repro.engine import (
     GridPlan,
     ModelEngine,
+    grid,
     predict_grid,
     predict_run,
     predict_runs,
@@ -31,6 +34,8 @@ from repro.engine.grid import clear_grid_caches
 from repro.errors import ModelUnsupportedError
 from repro.metrics.registry import scoped_registry
 from repro.parallel import RunSpec, SweepExecutor
+from repro.util.units import GB
+from repro.workload import workload_of
 
 
 @pytest.fixture(autouse=True)
@@ -172,6 +177,131 @@ class TestExactEquality:
         first = predict_grid(specs)
         again = predict_grid(specs)  # served from the point cache
         assert list(first) == list(again)
+
+    def test_evaluated_point_keeps_only_its_answer(self):
+        spec = RunSpec.for_app(HotspotApp, 4096, 64, places=7, iterations=3)
+        fam = grid._compiled_for(spec)
+        first = fam.evaluate(7)
+        # The memo holds the answer alone: no per-phase lists survive.
+        assert type(fam._points[7]) is float
+        assert fam.evaluate(7).hex() == first.hex()
+        clear_grid_caches()
+        assert predict_run(spec).elapsed.hex() == first.hex()
+
+    def test_eval_seconds_observed_once_per_family(self):
+        specs = [
+            RunSpec.for_app(MatMulApp, 600, 16, places=p) for p in (1, 4)
+        ] + [
+            RunSpec.for_app(NNApp, 20000, 16, places=4),
+            RunSpec.for_app(KmeansApp, 20000, 8, places=2, iterations=2),
+        ]
+        with scoped_registry() as registry:
+            predict_runs(specs)
+            snapshot = registry.snapshot()
+        stats = snapshot.histogram_stats("engine.grid.eval_seconds")
+        assert stats["count"] == 3
+
+
+def _first_invoke_spec():
+    return PHI_31SP.with_overrides(
+        overheads=RuntimeOverheads(first_invoke_extra=1.5e-3)
+    )
+
+
+class TestShapes:
+    """Datasets of one shape share a lowering and its per-P schedules;
+    what fixes structure keeps shapes apart."""
+
+    @staticmethod
+    def _warm_then_alone(specs):
+        """Each spec's answer evaluated in order on warm caches, checked
+        against the spec alone from cleared caches."""
+        warm = [predict_run(spec).elapsed for spec in specs]
+        for spec, got in zip(specs, warm):
+            clear_grid_caches()
+            assert got == predict_run(spec).elapsed
+        return warm
+
+    def test_datasets_of_one_shape_share_one_lowering(self):
+        specs = [
+            RunSpec.for_app(MatMulApp, d, 16, places=p)
+            for d in (600, 1200, 2400)
+            for p in (1, 4)
+        ]
+        predict_runs(specs)
+        assert len(grid._SHAPES) == 1
+        (low,) = grid._SHAPES.values()
+        assert sorted(low._schedules) == [1, 4]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            PHI_31SP.with_overrides(
+                link=replace(PHI_31SP.link, bandwidth=3.5e9)
+            ),
+            PHI_31SP.with_overrides(memory_bytes=4 * GB),
+            _first_invoke_spec(),
+        ],
+        ids=["bandwidth", "memory", "first_invoke"],
+    )
+    def test_device_specs_do_not_share_a_lowering(self, spec):
+        runs = [
+            RunSpec.for_app(
+                HotspotApp, 256, 8, places=4, spec=s, iterations=3
+            )
+            for s in (PHI_31SP, spec)
+        ]
+        for run in runs:
+            predict_run(run)
+        assert len(grid._SHAPES) == 2
+        self._warm_then_alone(runs)
+
+    def test_first_invocation_two_device_datasets_share_per_p_shapes(self):
+        runs = [
+            RunSpec.for_app(
+                CholeskyApp, d, 9, places=p, num_devices=2,
+                spec=_first_invoke_spec(),
+            )
+            for d in (720, 1440)
+            for p in (2, 3)
+        ]
+        for run in runs:
+            predict_run(run)
+        # One lowering per device layout, shared by both datasets.
+        assert len(grid._SHAPES) == 2
+        self._warm_then_alone(runs)
+
+    def test_zero_byte_transfers_do_not_share_a_lowering(self):
+        # A zero-itemsize dtype turns MatMul's transfers into residency
+        # markers, so that dataset is lowered from its own spec, as a
+        # scenario of the same ops is.
+        predict_run(RunSpec.for_app(MatMulApp, 600, 16, places=4))
+        zero = RunSpec.for_app(
+            MatMulApp, 600, 16, places=4, dtype=np.dtype("V0")
+        )
+        port = RunSpec.for_workload(workload_of(zero.build_app()), places=4)
+        assert predict_run(zero).elapsed == predict_run(port).elapsed
+        assert len(grid._SHAPES) == 1
+
+    @pytest.mark.parametrize(
+        "app_cls, args",
+        [
+            (KmeansApp, (20000, 8)),
+            (HotspotApp, (256, 8)),
+            (SradApp, (200, 8)),
+        ],
+        ids=["kmeans", "hotspot", "srad"],
+    )
+    def test_iteration_counts_do_not_share_a_lowering(self, app_cls, args):
+        runs = [
+            RunSpec.for_app(app_cls, *args, places=4, iterations=it)
+            for it in (2, 5)
+        ]
+        for run in runs:
+            predict_run(run)
+        assert len(grid._SHAPES) == 2
+        few, many = self._warm_then_alone(runs)
+        assert few < many
 
 
 class TestEngineRouting:

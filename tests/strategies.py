@@ -110,6 +110,58 @@ SPEC_STRATEGIES = [
 spec_grids = st.lists(st.one_of(SPEC_STRATEGIES), min_size=1, max_size=6)
 
 
+def _datasets(draw, values) -> list:
+    return draw(st.lists(values, min_size=2, max_size=3, unique=True))
+
+
+@st.composite
+def shared_shape_grids(draw) -> list:
+    """Two or three datasets of one app at one tiling and one set of
+    other arguments (so one shape), each at one to three partition
+    counts, in a drawn order.  MatMul and Cholesky also run on two
+    cards, where every dataset shares the per-P lowerings."""
+    app = draw(
+        st.sampled_from(("mm", "nn", "kmeans", "hotspot", "srad", "cf"))
+    )
+    kwargs: dict = {}
+    if app in ("mm", "cf"):
+        g = draw(st.integers(min_value=1 if app == "mm" else 2, max_value=4))
+        app_cls, tiles = (MatMulApp if app == "mm" else CholeskyApp), g * g
+        blocks = _datasets(draw, st.sampled_from([60, 150, 240, 300]))
+        datasets = [g * b for b in blocks]
+        kwargs["num_devices"] = draw(st.sampled_from([1, 2]))
+    elif app == "nn":
+        app_cls, tiles = NNApp, draw(st.integers(min_value=1, max_value=64))
+        datasets = _datasets(
+            draw, st.integers(min_value=1000, max_value=200000)
+        )
+    else:
+        app_cls, rows, max_iterations = {
+            "kmeans": (KmeansApp, st.integers(10000, 100000), 5),
+            "hotspot": (HotspotApp, st.integers(4, 32).map(lambda d: 64 * d), 4),
+            "srad": (SradApp, st.integers(2, 24).map(lambda d: 100 * d), 3),
+        }[app]
+        tiles = draw(st.integers(min_value=1, max_value=32))
+        datasets = _datasets(draw, rows)
+        kwargs["iterations"] = draw(
+            st.integers(min_value=1, max_value=max_iterations)
+        )
+    lowest = kwargs.get("num_devices", 1)
+    specs = [
+        _build(app_cls, p, (d, tiles), kwargs)
+        for d in datasets
+        for p in draw(
+            st.lists(
+                st.integers(min_value=lowest, max_value=56),
+                min_size=1,
+                max_size=3,
+                unique=True,
+            )
+        )
+    ]
+    return draw(st.permutations(specs))
+
+
 # -- workload-spec space ------------------------------------------------------
 
 #: Transfer sizes: markers (0), tiny, page-ish, and large-but-bounded —
