@@ -40,14 +40,31 @@ same evaluator at one point.
   vectorized :func:`~repro.engine.analytic.invoke_cost` table) and the
   closed steps' maxima, and the family memoizes only the answer (at
   most ``_POINT_CAP`` per family);
-* :func:`_eval_phase` — settles one phase between two global syncs: an
-  action waits for its stream predecessor (FIFO) and its explicit deps,
-  pays the cross-device sync when a dep ran on another card, pays the
-  dispatch overhead, then occupies its device's link lane (transfers)
-  or its partition (kernels, uncontended at one stream per place; the
-  first invocation of a kernel name on a card pays the device spec's
-  ``first_invoke_extra``).  Each card's lane is granted in request-time
-  order, the same discipline as the DES's capacity-1 link resource;
+* :func:`_eval_phase` — the *heap walk*, which defines how one phase
+  between two global syncs settles: an action waits for its stream
+  predecessor (FIFO) and its explicit deps, pays the cross-device sync
+  when a dep ran on another card, pays the dispatch overhead, then
+  occupies its device's link lane (transfers) or its partition
+  (kernels, uncontended at one stream per place; the first invocation
+  of a kernel name on a card pays the device spec's
+  ``first_invoke_extra``).  Its ``(time, seq)`` event heap fixes the
+  *lane discipline*: each card's lane grants queued requests by
+  (request time, issue index), and of several requests that reach an
+  idle lane at one time, the one activated first.  The DES's link is a
+  capacity-1 FIFO ``Resource``, which serves queued requests in request
+  order; the two differ only on a queued tie, which the model breaks by
+  issue index;
+* :func:`_settle_eager` — the *eager settle*, which answers every
+  single-card phase whose first invocations cost nothing extra:
+  kernels and markers complete when they activate, and only lane
+  requests are ordered.  It computes each time with the heap walk's
+  expressions and reconstructs the heap walk's idle-lane tie-breaks
+  from activation provenance (:func:`_first_activated`).  Where it
+  cannot prove the heap walk's order — no progress, a tie at the lane's
+  release time, an undecidable idle-lane tie — it refuses, and the heap
+  walk settles the phase from the same entry state.  So the heap walk
+  stays the oracle: every answer is its bits.  Multi-card and
+  first-invocation phases take the heap walk alone;
 * :class:`GridPlan` / :func:`predict_grid` — the public batch surface:
   group a heterogeneous batch into families and evaluate the whole grid.
 
@@ -56,7 +73,8 @@ real-data run, ``streams_per_place != 1``, ``keep_timeline``, a noisy
 or full-duplex device spec, or a port whose buffers overflow a card's
 memory — raises :class:`~repro.errors.ModelUnsupportedError` on every
 path, never an approximation.  Metrics land under ``engine.grid.*``
-(see ``docs/OBSERVABILITY.md``).
+(see ``docs/OBSERVABILITY.md``); ``engine.grid.settles`` counts the
+settled phases per walk.
 """
 
 from __future__ import annotations
@@ -96,6 +114,11 @@ _ST_SETTLE, _ST_SYNC, _ST_CLOSED = 0, 1, 2
 #: lowering and answers per family (partition counts).
 _SHAPE_CAP = 64
 _POINT_CAP = 128
+
+#: ``engine.grid.settles`` routes: the eager walk settled the phase, it
+#: refused and the heap walk settled it, or the heap walk alone
+#: (multi-card and first-invocation phases).
+_SETTLE_ROUTES = ("eager", "refused", "heap")
 
 
 class _Phase:
@@ -346,19 +369,19 @@ def _eval_phase(sp, laneq, cost, tails, floor, loaded, fam):
     pairs that have run, or ``None`` when a first invocation costs
     nothing extra) carry over between phases and are updated in place.
 
-    The loop is a ``(time, seq)``-ordered event heap.  Every push lands
+    The loop is a ``(time, seq)``-ordered event heap, and it defines
+    the model's lane discipline (module docstring).  Every push lands
     at or after the time being processed, so an idle lane was released
     no later than the request now popped, and a grant starts at the
     request time (or, for a queued request, at the release).
 
     The full chronology matters, not just the transfer lanes': when two
-    lane requests carry the *same* request time, the DES grants them in
-    activation order, which is the processing order of their
-    predecessors' completion events — so completions cannot be settled
-    eagerly (out of event order) without sometimes flipping a
-    lane-grant tie and shifting every later action on the losing
-    stream.  Within one completion, dependents activate in ascending
-    issue index, and each activation takes the next global ``seq``.
+    lane requests carry the *same* request time at an idle lane, the
+    first one popped wins, which is the processing order of their
+    predecessors' completion events.  Within one completion, dependents
+    activate in ascending issue index, and each activation takes the
+    next global ``seq``.  :func:`_settle_eager` reconstructs that order
+    where it can prove it and refuses where it cannot.
     """
     kinds = sp.kind
     deps = sp.deps
@@ -443,6 +466,143 @@ def _eval_phase(sp, laneq, cost, tails, floor, loaded, fam):
         dependents = deps[k]
 
 
+def _settle_eager(sp, laneq, cost, tails, floor, fam):
+    """Settle one single-card phase whose first invocations cost nothing
+    extra, as :func:`_eval_phase` would, ordering only the link lane.
+
+    Kernels and markers complete when they activate and release their
+    dependents at once; lane requests wait in a heap keyed by (request
+    time, issue index), and the lane grants each at the later of its
+    request and the previous release.  The times are computed with
+    :func:`_eval_phase`'s expressions, so a proven grant order gives its
+    bits.  Returns the phase's new per-stream tails (``tails`` itself is
+    left alone), or ``None`` where the heap walk's order is not proven:
+
+    * *no progress* — an activation that ``dispatch`` does not move, or
+      a release not after its grant.  With progress, a request not yet
+      discovered waits on an ungranted transfer, so it lands strictly
+      after the grant now made: every request the lane could grant is
+      in the heap;
+    * a *release tie* — two requests at exactly the lane's release time
+      and none earlier (the heap walk's choice depends on push order);
+    * an idle-lane tie that :func:`_first_activated` cannot decide.
+    """
+    kinds = sp.kind
+    deps = sp.deps
+    stream_of = sp.stream_of
+    dispatch = fam.dispatch
+    lat = fam.lat
+    remaining = sp.remaining[:]
+    n = len(remaining)
+    pdone = [-1.0] * n
+    done = [0.0] * n  # kernels' and markers' completions
+    #: Each action's activating completion (see :func:`_first_activated`):
+    #: -1 for the ready set's, -2 when two predecessors finished at once.
+    act = [-1] * n
+    tails = tails[:]
+    lane: list = []
+    todo: list = []  # completed kernels and markers not yet counted down
+    push = heappush
+    pop = heappop
+    free = -1.0  # the lane's last release: idle at entry
+    # The ready set's virtual completion comes first.
+    k, time, dependents = -1, -1.0, sp.init
+    while True:
+        for d in dependents:
+            a = pdone[d]
+            if time > a:
+                pdone[d] = a = time
+                act[d] = k
+            elif time == a and act[d] != k:
+                act[d] = -2
+            r = remaining[d] - 1
+            remaining[d] = r
+            if r:
+                continue
+            if a < floor:
+                a = floor
+            ready = a + dispatch
+            if ready <= a:
+                return None
+            kd = kinds[d]
+            if kd == 1:  # transfer: request the lane
+                push(lane, (ready, d))
+                continue
+            if kd == 2:  # kernel
+                ready += cost[d]
+            done[d] = ready
+            s = stream_of[d]
+            if ready > tails[s]:
+                tails[s] = ready
+            todo.append(d)
+        if todo:
+            k = todo.pop()
+            time, dependents = done[k], deps[k]
+            continue
+        if not lane:
+            return tails
+        m, k = pop(lane)
+        if m > free:  # idle lane: the first request activated wins
+            if lane and lane[0][0] == m:
+                tied = [k]
+                while lane and lane[0][0] == m:
+                    tied.append(pop(lane)[1])
+                k = _first_activated(tied, kinds, pdone, act)
+                if k is None:
+                    return None
+                for y in tied:
+                    if y != k:
+                        push(lane, (m, y))
+            grant = m
+        elif m == free and lane and lane[0][0] == m:  # release tie
+            return None
+        else:
+            grant = free
+        free = (grant + lat) + laneq[k]
+        if free <= grant:
+            return None
+        s = stream_of[k]
+        if free > tails[s]:
+            tails[s] = free
+        time, dependents = free, deps[k]
+
+
+def _first_activated(tied, kinds, pdone, act):
+    """Of lane requests ``tied`` (ascending issue index) at one request
+    time, the one :func:`_eval_phase` activated first, or ``None`` when
+    the heap walk's order is not proven.
+
+    Activation order is activation time, then the processing order of
+    the *activating completions* (``act``): an action's one predecessor
+    that finished at its activation time, or the ready set's virtual
+    completion.  One completion activates its dependents in ascending
+    issue index, and a kernel's or marker's completion is processed in
+    its own activation order, so the comparison recurses on them.  A
+    lane release (pushed at its grant, not its activation) or two
+    predecessors finishing at once is not decided.
+    """
+    k = tied[0]
+    for y in tied[1:]:
+        x, z = k, y
+        while True:
+            ax, az = pdone[x], pdone[z]
+            if ax != az:
+                first = ax < az
+                break
+            cx, cz = act[x], act[z]
+            if cx == -2 or cz == -2:
+                return None
+            if cx == cz:
+                first = x < z
+                break
+            if cx < 0 or cz < 0 or kinds[cx] == 1 or kinds[cz] == 1:
+                return None
+            x, z = cx, cz
+        if not first:
+            k = y
+    return k
+
+
 class _PointData:
     """Everything one (family, P) evaluation reads: the lowering and
     its schedule, the family's lane occupancies, the point's costs and
@@ -486,6 +646,8 @@ class _CompiledFamily:
         #: P -> predicted elapsed seconds (the model is deterministic,
         #: so one flat-loop pass per point ever).
         self._points: OrderedDict[int, float] = OrderedDict()
+        #: Phases settled so far, per :data:`_SETTLE_ROUTES` route.
+        self.settles = [0] * len(_SETTLE_ROUTES)
 
     # -- per-P specialization ----------------------------------------------
 
@@ -536,15 +698,25 @@ class _CompiledFamily:
         tails = [0.0] * S
         floor = 0.0
         loaded = set() if self.first_extra > 0.0 else None
+        # Multi-card and first-invocation phases have only the heap walk.
+        eager = self.num_devices == 1 and loaded is None
+        settles = self.settles
         t = 0.0
         spp = self.spp
         phases, laneq, cost = pt.sched.phases, pt.laneq, pt.cost
         for op, arg in pt.low.steps:
             if op == _ST_SETTLE:
-                _eval_phase(
-                    phases[arg], laneq[arg], cost[arg], tails, floor,
-                    loaded, self,
-                )
+                sp, lq, cs = phases[arg], laneq[arg], cost[arg]
+                if eager:
+                    settled = _settle_eager(sp, lq, cs, tails, floor, self)
+                    if settled is not None:
+                        tails = settled
+                        settles[0] += 1
+                        continue
+                    settles[1] += 1
+                else:
+                    settles[2] += 1
+                _eval_phase(sp, lq, cs, tails, floor, loaded, self)
             elif op == _ST_SYNC:
                 t = max(tails)
                 t += S * spp
@@ -793,6 +965,7 @@ class GridPlan:
         """
         results: list = [None] * len(self.specs)
         n_points = fam_array = fam_refused = 0
+        settles = [0] * len(_SETTLE_ROUTES)
         eval_seconds = []  # one entry per evaluated family
         for fam in self.families:
             compiled = fam.compiled
@@ -802,6 +975,7 @@ class GridPlan:
                     _compiled_for(self.specs[fam.indices[0]])
                 continue
             fam_array += 1
+            before = compiled.settles[:]
             t0 = perf_counter()
             for i in fam.indices:
                 places = self.specs[i].places
@@ -814,6 +988,8 @@ class GridPlan:
                 results[i] = compiled.wrap(places, elapsed)
                 n_points += 1
             eval_seconds.append(perf_counter() - t0)
+            for j, count in enumerate(compiled.settles):
+                settles[j] += count - before[j]
         if self.specs:
             registry = get_registry()
             if fam_array:
@@ -828,6 +1004,11 @@ class GridPlan:
                 registry.counter(
                     "engine.grid.points", route="array"
                 ).inc(n_points)
+            for route, count in zip(_SETTLE_ROUTES, settles):
+                if count:
+                    registry.counter(
+                        "engine.grid.settles", route=route
+                    ).inc(count)
             histogram = registry.histogram("engine.grid.eval_seconds")
             for seconds in eval_seconds:
                 histogram.observe(seconds)

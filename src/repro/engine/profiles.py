@@ -13,9 +13,10 @@ see :mod:`repro.workload.compile` for the exact rule.  The hBench
 probe models build a workload spec of the probe's schedule and take
 the same path.
 
-Known deviation from the DES (why the hybrid engine calibrates):
-link-grant order between streams is approximated by enqueue order
-(see :mod:`repro.engine.grid`).
+Known deviation from the DES (why the hybrid engine calibrates): two
+link requests queued at one request time are granted by issue index,
+where the DES serves them in request order (the lane discipline is
+stated in :mod:`repro.engine.grid`).
 
 Configurations the analytic path refuses (``ModelUnsupportedError``,
 caught by the hybrid engine): real-data runs (``materialize=True``),

@@ -5,15 +5,20 @@ check its arithmetic bit for bit.  These pins hold its answers fixed
 instead: ``float.hex`` strings in ``tests/data/model_pins.json``,
 compared with ``==``.  They cover every shape a point can take:
 
-* the six paper apps on one device (three or four (D, T) points each,
-  two of them at one tiling);
+* the six paper apps on one device (three to five (D, T) points each,
+  two of them at one tiling); Cholesky's two T=100 points reach both
+  of the eager settle's hard cases at P=7, a refused settle (4800) and
+  an idle-lane tie whose first grant is not the lowest issue index
+  (10080);
 * 2-device MatMul and Cholesky, whose ports depend on P;
 * Hotspot with a first-invocation cost, on one and two devices;
 * the twelve golden scenarios of ``tests/data/scenarios``;
 * the fig5 and fig7 hBench probe models.
 
 The pins were recorded from the event-replay evaluator that the grid
-replaced.  After a deliberate change to the model's arithmetic,
+replaced; the Cholesky T=100 pins from the grid's heap walk at
+``7c06488``, before the eager settle.  After a deliberate change to the
+model's arithmetic,
 regenerate them with::
 
     PYTHONPATH=src python -m tests.engine.test_model_pins --write
@@ -58,7 +63,11 @@ APPS = [
     (KmeansApp, [(20000, 8), (30003, 8), (280000, 28)], {"iterations": 4}),
     (HotspotApp, [(256, 8), (300, 8), (4096, 64)], {"iterations": 3}),
     (SradApp, [(200, 8), (301, 8), (4000, 100)], {"iterations": 2}),
-    (CholeskyApp, [(720, 9), (1440, 9), (4800, 36)], {}),
+    (
+        CholeskyApp,
+        [(720, 9), (1440, 9), (4800, 36), (4800, 100), (10080, 100)],
+        {},
+    ),
 ]
 APP_PLACES = (1, 2, 4, 7, 13, 56)
 

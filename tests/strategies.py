@@ -37,12 +37,12 @@ def _build(app_cls, p, args, kwargs=None):
     return RunSpec.for_app(app_cls, *args, places=p, **(kwargs or {}))
 
 
-#: One strategy per app profile, plus 2-device MatMul and Cholesky:
-#: (P, T, D) draws sized so a single example stays fast while still
-#: varying the tile/dataset geometry.
+#: One strategy per app profile on one card: (P, T, D) draws sized so a
+#: single example stays fast while still varying the tile/dataset
+#: geometry.
 #: MM and Cholesky need a perfect-square tile count with the matrix a
 #: multiple of its grid side; the banded apps need tiles <= rows.
-SPEC_STRATEGIES = [
+ONE_CARD_SPEC_STRATEGIES = [
     st.builds(
         lambda p, g, block: _build(MatMulApp, p, (g * block, g * g)),
         places,
@@ -88,7 +88,11 @@ SPEC_STRATEGIES = [
         st.integers(min_value=2, max_value=6),
         st.sampled_from([240, 300, 480]),
     ),
-    # The two apps whose ports depend on P over several cards.
+]
+
+#: The one-card strategies plus 2-device MatMul and Cholesky, the two
+#: apps whose ports depend on P over several cards.
+SPEC_STRATEGIES = ONE_CARD_SPEC_STRATEGIES + [
     st.builds(
         lambda p, g, block: _build(
             MatMulApp, p, (g * block, g * g), {"num_devices": 2}
