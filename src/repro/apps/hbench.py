@@ -12,14 +12,22 @@ Three experiment modes:
   between transfer and compute stages (spatial sharing only), kernel time
   measured over the number of partitions, against the non-tiled
   non-streamed reference.
+
+The figures evaluate each probe as a run spec:
+:class:`TransferProbe`, :class:`StreamedProbe`, :class:`PartitionProbe`
+and :class:`ReferenceProbe` each run one :class:`HBench` method, so
+their points reach the sweep executor (pool, cache, checkpoint,
+engines) as every other figure's do.
 """
 
 from __future__ import annotations
 
 import enum
+from functools import cached_property
 
 import numpy as np
 
+from repro.apps.base import AppRun
 from repro.device.spec import DeviceSpec, PHI_31SP
 from repro.errors import ConfigurationError
 from repro.hstreams.context import StreamContext
@@ -206,3 +214,161 @@ class HBench:
         from repro.device.platform import HeteroPlatform
 
         return HeteroPlatform(num_devices=1, device_spec=self.spec)
+
+
+# -- the probes as run-spec apps ----------------------------------------------
+
+
+class _Probe:
+    """One hBench probe as a :class:`~repro.parallel.runspec.RunSpec` app.
+
+    :meth:`run` times one :class:`HBench` method on the DES, called with
+    the constructor's arguments.  :attr:`workload`, the schedule of the
+    probe's timed region, is the app's port (registered in
+    :mod:`repro.workload.ports` the way a
+    :class:`~repro.workload.app.WorkloadApp` is).  Each subclass is one
+    probe kind, hence one hybrid certification family.  ``places`` is
+    the partition count the method fixes (``None``: the run's).
+    """
+
+    places: "int | None" = None
+
+    def __init__(self, *args: int, spec: DeviceSpec = PHI_31SP) -> None:
+        self.args = args
+        self.spec = spec
+        self.bench = HBench(spec=spec)
+
+    @cached_property
+    def workload(self):
+        from repro.workload.spec import (
+            KernelSpec,
+            OpSpec,
+            PhaseSpec,
+            WorkloadSpec,
+        )
+
+        works, ops = self._schedule()
+        # One unsynced phase: the run harness's final global sync ends
+        # it, as the method's own ``sync_all`` does.
+        return WorkloadSpec(
+            name=self.name,
+            kernels=tuple(map(KernelSpec.from_work, works)),
+            phases=(PhaseSpec(tuple(OpSpec(*op) for op in ops), sync=False),),
+        )
+
+    @property
+    def tiles(self) -> int:
+        return self.workload.tiles
+
+    def total_flops(self) -> float:
+        return self.workload.total_flops()
+
+    def run(
+        self, places: int, streams_per_place: int = 1, num_devices: int = 1
+    ) -> AppRun:
+        if (streams_per_place, num_devices) != (1, 1) or self.places not in (
+            None,
+            places,
+        ):
+            fixed = f", at {self.places} places" if self.places else ""
+            raise ConfigurationError(
+                f"{type(self).__name__} runs on one card, one stream per "
+                f"place{fixed}"
+            )
+        elapsed = self._time(places)
+        flops = self.total_flops()
+        return AppRun(
+            app=self.name,
+            elapsed=elapsed,
+            places=places,
+            tiles=self.tiles,
+            gflops=(flops / elapsed / 1e9) if flops > 0 else None,
+        )
+
+
+def _vecadd_blocks(hb: HBench, nblocks: int, iterations: int):
+    """(works, ops): ``nblocks`` equal vecadd blocks, round-robin over
+    the streams."""
+    work = vecadd_work(
+        hb.elements // nblocks, iterations, hb.itemsize, hb.spec
+    )
+    return [work], [("exe", i, 0, 0) for i in range(nblocks)]
+
+
+class TransferProbe(_Probe):
+    """Fig. 5, ``TransferProbe(hd_blocks, dh_blocks)``:
+    :meth:`HBench.transfer_time` at 2 places.  Its port enqueues as the
+    method does: the out chain on stream 0, the back chain on 1."""
+
+    name = "hbench-transfer"
+    places = 2
+
+    def _time(self, places: int) -> float:
+        return self.bench.transfer_time(*self.args)
+
+    def _schedule(self):
+        hd, dh = self.args
+        nbytes = (self.bench.block_bytes // self.bench.itemsize) * 4
+        return [], [("h2d", 0, nbytes)] * hd + [("d2h", 1, nbytes)] * dh
+
+
+class StreamedProbe(_Probe):
+    """Fig. 6's Streamed line, ``StreamedProbe(iterations, streams)``:
+    :meth:`HBench.streamed_time`, one stream per place."""
+
+    name = "hbench-streamed"
+
+    @property
+    def places(self) -> int:
+        return self.args[1]
+
+    def _time(self, places: int) -> float:
+        return self.bench.streamed_time(*self.args)
+
+    def _schedule(self):
+        iterations, streams = self.args
+        hb = self.bench
+        works, ops = [], []
+        bounds = np.linspace(0, hb.elements, streams + 1).astype(int)
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            count = int(hi - lo)
+            if count == 0:
+                continue
+            works.append(vecadd_work(count, iterations, hb.itemsize, hb.spec))
+            ops += [
+                ("h2d", i, count * 4),  # A's chunk
+                ("h2d", i),  # B's residency marker
+                ("exe", i, 0, len(works) - 1),
+                ("d2h", i, count * 4),  # B's chunk
+            ]
+        return works, ops
+
+
+class PartitionProbe(_Probe):
+    """Fig. 7, ``PartitionProbe(nblocks, iterations)``:
+    :meth:`HBench.partition_sweep_time` at the run's places.  Its port
+    is the timed kernel phase: the synced upload before it leaves every
+    stream idle at one time, as the model's streams start."""
+
+    name = "hbench-partitions"
+
+    def _time(self, places: int) -> float:
+        return self.bench.partition_sweep_time(places, *self.args)
+
+    def _schedule(self):
+        return _vecadd_blocks(self.bench, *self.args)
+
+
+class ReferenceProbe(_Probe):
+    """Fig. 7's ``ref`` bar, ``ReferenceProbe(iterations)``:
+    :meth:`HBench.reference_time`, one kernel over the whole array at
+    1 place."""
+
+    name = "hbench-reference"
+    places = 1
+
+    def _time(self, places: int) -> float:
+        return self.bench.reference_time(*self.args)
+
+    def _schedule(self):
+        return _vecadd_blocks(self.bench, 1, *self.args)

@@ -18,8 +18,8 @@ The public surface (see ``docs/API.md``):
   :class:`~repro.engine.grid.GridPlan` — the analytic model: a whole
   (P, T, D) sweep lowered to per-family array evaluations, raising
   :class:`~repro.errors.ModelUnsupportedError` outside the fast path;
-* :func:`~repro.engine.profiles.predict_run` — the same evaluator at
-  one spec;
+* :func:`~repro.engine.grid.predict_run` — the same evaluator at one
+  spec;
 * :mod:`repro.engine.analytic` — the vectorized cost-model replicas the
   grid path is built from.
 """
@@ -32,7 +32,7 @@ from repro.engine.engines import (
     ModelEngine,
     resolve_engine,
 )
-from repro.engine.grid import GridPlan, predict_grid, predict_runs
+from repro.engine.grid import GridPlan, predict_grid, predict_run, predict_runs
 from repro.engine.learned import (
     DEFAULT_GATE,
     LearnedEngine,
@@ -40,7 +40,6 @@ from repro.engine.learned import (
     build_corpus,
     train_model,
 )
-from repro.engine.profiles import predict_run
 from repro.engine.store import (
     DEFAULT_STORE_CAPACITY,
     EngineStore,

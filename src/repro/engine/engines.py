@@ -5,7 +5,7 @@ Four ways to evaluate a batch of :class:`~repro.parallel.runspec.RunSpec`:
 * ``sim`` — the discrete-event simulation (the executor's native path:
   process pool, cache, retries, fault injection).  Selecting it attaches
   no engine object at all.
-* ``model`` — :func:`repro.engine.profiles.predict_run` for every spec.
+* ``model`` — :func:`repro.engine.grid.predict_run` for every spec.
   Strict: a spec outside the analytic fast path raises
   :class:`~repro.errors.ModelUnsupportedError`.
 * ``hybrid`` — the model everywhere it can be *certified*: specs are

@@ -9,13 +9,13 @@ the device spec); the dataset only moves bytes and kernel work, and P
 only moves the stream assignment (``tile % S``) and the per-stream
 costs.  So the model lowers each shape once, keeps a dataset's numbers
 as per-family columns, and evaluates each point with a flat loop over
-precompiled arrays; :func:`~repro.engine.profiles.predict_run` is this
-same evaluator at one point.
+precompiled arrays; :func:`predict_run` is this same evaluator at one
+point.
 
 * the family's schedule is its workload port
   (:mod:`repro.workload.ports`: a skeleton built from the shape plus the
-  dataset's numbers; a :class:`~repro.workload.app.WorkloadApp` is its
-  own port);
+  dataset's numbers; a :class:`~repro.workload.app.WorkloadApp` or an
+  hBench probe carries its own);
 * :class:`_Lowering` — :func:`~repro.workload.compile.lower_skeleton`
   records the skeleton into it with a stream *chain id* (the op's tile,
   reduced mod ``num_streams`` per point) instead of a concrete stream
@@ -98,7 +98,13 @@ from repro.metrics.registry import get_registry
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.parallel.runspec import RunSpec
 
-__all__ = ["GridPlan", "GridFamily", "predict_grid", "predict_runs"]
+__all__ = [
+    "GridPlan",
+    "GridFamily",
+    "predict_grid",
+    "predict_run",
+    "predict_runs",
+]
 
 
 #: Action kinds.  A point may mark a kernel ``_KERNEL_FIRST`` (its
@@ -1022,15 +1028,26 @@ class GridPlan:
         )
 
 
+def predict_run(spec: "RunSpec") -> AppRun:
+    """Evaluate one :class:`~repro.parallel.runspec.RunSpec` analytically.
+
+    Returns an :class:`AppRun` with ``engine="model"`` (no timeline, no
+    outputs, no metrics snapshot), or raises
+    :class:`ModelUnsupportedError` where the model cannot reproduce the
+    run (see the module docstring).
+    """
+    fam = _compiled_for(spec)
+    return fam.wrap(spec.places, fam.evaluate(spec.places))
+
+
 def predict_grid(specs) -> np.ndarray:
     """Evaluate a whole batch of specs analytically: elapsed seconds in
-    submission order, element-wise identical to
-    :func:`~repro.engine.profiles.predict_run` (raising
-    :class:`ModelUnsupportedError` where it would)."""
+    submission order, element-wise identical to :func:`predict_run`
+    (raising :class:`ModelUnsupportedError` where it would)."""
     return GridPlan.build(specs).evaluate()
 
 
 def predict_runs(specs) -> list:
-    """Batch :func:`~repro.engine.profiles.predict_run`: one
-    ``engine="model"`` :class:`AppRun` per spec."""
+    """Batch :func:`predict_run`: one ``engine="model"``
+    :class:`AppRun` per spec."""
     return GridPlan.build(specs).predict_runs()

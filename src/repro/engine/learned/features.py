@@ -203,16 +203,18 @@ class FeatureExtractor:
 
         Workload specs carry their scenario directly; the six named
         apps are converted through their DES-exact ports
-        (:func:`repro.workload.ports.workload_of`), keeping their own
+        (:func:`repro.workload.ports.port_parts`), keeping their own
         app name and tile count on the envelope.  Raises
         :class:`~repro.errors.ModelUnsupportedError` outside the
-        learned tier's surface (same refusals as the analytic path —
-        including a point whose buffers overflow the card — plus
-        multi-device runs: the feature map is single-device).
+        learned tier's surface: the analytic path's refusals (a point
+        whose buffers overflow the card among them), multi-device runs
+        (the feature map is single-device), and any other app whose
+        port has no shape, such as the hBench probes, which lie outside
+        the corpus the ridge is trained on.
         """
         from repro.workload import WorkloadApp, WorkloadSpec
         from repro.workload.compile import check_capacity
-        from repro.workload.ports import workload_of
+        from repro.workload.ports import port_parts, port_skeleton
 
         if spec.streams_per_place != 1:
             raise ModelUnsupportedError(
@@ -251,9 +253,15 @@ class FeatureExtractor:
                     "real-data runs (materialize=True) need the simulator"
                 )
             try:
-                workload = workload_of(app)
+                shape, numbers = port_parts(app)
+                if shape is not None:
+                    workload = port_skeleton(shape).assemble(numbers)
             except ConfigurationError as exc:
                 raise ModelUnsupportedError(str(exc)) from exc
+            if workload is None:
+                raise ModelUnsupportedError(
+                    f"{type(app).__name__} has no shaped port to featurize"
+                )
             app_name = app.name
             tiles = app.tiles
             flops = app.total_flops()

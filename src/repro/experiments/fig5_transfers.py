@@ -7,21 +7,15 @@ directions are performed serially on Phi.
 
 from __future__ import annotations
 
-from repro.apps.hbench import HBench, TransferPattern
-from repro.experiments.probe_engine import probe_series
+from repro.apps.hbench import TransferPattern, TransferProbe
 from repro.experiments.runner import ExperimentResult, default_executor
-from repro.metrics import get_registry
+from repro.parallel import RunSpec
 from repro.util.units import MS
 
 
 def run(fast: bool = True, executor=None) -> ExperimentResult:
-    executor = default_executor(executor)
-    hb = HBench()
     total = 16
     xs = list(range(0, total + 1, 2 if fast else 1))
-    probes = get_registry().counter(
-        "experiment.probe_evaluations", experiment="fig5"
-    )
     result = ExperimentResult(
         experiment="fig5",
         title="Data transfer time over transferred blocks (1 MB blocks)",
@@ -29,23 +23,15 @@ def run(fast: bool = True, executor=None) -> ExperimentResult:
         x=xs,
         y_label="ms",
     )
-    from repro.engine.profiles import hbench_transfer_model
-
+    patterns = list(TransferPattern)
+    runs = default_executor(executor).map(
+        RunSpec.for_app(TransferProbe, *pattern.blocks(x, total), places=2)
+        for pattern in patterns
+        for x in xs
+    )
     curves = {}
-    for pattern in TransferPattern:
-        times = [
-            t / MS
-            for t in probe_series(
-                executor,
-                xs,
-                lambda x: hb.transfer_time(*pattern.blocks(x, total)),
-                lambda x: hbench_transfer_model(
-                    hb, *pattern.blocks(x, total)
-                ),
-                label=f"fig5-{pattern.value.lower()}",
-            )
-        ]
-        probes.inc(len(times))
+    for k, pattern in enumerate(patterns):
+        times = [r.elapsed / MS for r in runs[k * len(xs):(k + 1) * len(xs)]]
         curves[pattern] = times
         result.add_series(pattern.value, times)
 

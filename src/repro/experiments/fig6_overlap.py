@@ -9,20 +9,16 @@ achievable).
 
 from __future__ import annotations
 
-from repro.apps.hbench import HBench
-from repro.experiments.probe_engine import probe_series
+from repro.apps.hbench import HBench, StreamedProbe
 from repro.experiments.runner import ExperimentResult, default_executor
-from repro.metrics import get_registry
+from repro.parallel import RunSpec
 from repro.util.units import MS
 
 
 def run(fast: bool = True, executor=None) -> ExperimentResult:
-    executor = default_executor(executor)
     hb = HBench()
     xs = list(range(20, 61, 10 if fast else 5))
-    get_registry().counter(
-        "experiment.probe_evaluations", experiment="fig6"
-    ).inc(5 * len(xs))
+    streams = 4  # one per place
     result = ExperimentResult(
         experiment="fig6",
         title="Overlap of data transfers and computation (16 MB arrays)",
@@ -30,21 +26,16 @@ def run(fast: bool = True, executor=None) -> ExperimentResult:
         x=xs,
         y_label="ms",
     )
-    from repro.engine.profiles import hbench_streamed_model
-
     data = [hb.data_time() / MS for _ in xs]
     kernel = [hb.kernel_time(i) / MS for i in xs]
     serial = [hb.serial_time(i) / MS for i in xs]
-    # Only the streamed line runs the DES (the rest are closed-form),
-    # so only it goes through engine selection.
+    # Only the Streamed line runs the DES (the rest are closed-form), so
+    # only it is evaluated through the executor.
     streamed = [
-        t / MS
-        for t in probe_series(
-            executor,
-            xs,
-            hb.streamed_time,
-            lambda i: hbench_streamed_model(hb, i),
-            label="fig6-streamed",
+        r.elapsed / MS
+        for r in default_executor(executor).map(
+            RunSpec.for_app(StreamedProbe, i, streams, places=streams)
+            for i in xs
         )
     ]
     ideal = [hb.ideal_time(i) / MS for i in xs]

@@ -9,20 +9,14 @@ for a non-overlappable kernel.
 
 from __future__ import annotations
 
-from repro.apps.hbench import HBench
-from repro.experiments.probe_engine import probe_series
+from repro.apps.hbench import PartitionProbe, ReferenceProbe
 from repro.experiments.runner import ExperimentResult, default_executor
-from repro.metrics import get_registry
+from repro.parallel import RunSpec
 from repro.util.units import MS
 
 
 def run(fast: bool = True, executor=None) -> ExperimentResult:
-    executor = default_executor(executor)
-    hb = HBench()
     partitions = [1, 2, 4, 8, 16, 32, 64, 128]
-    get_registry().counter(
-        "experiment.probe_evaluations", experiment="fig7"
-    ).inc(len(partitions) + 1)
     iterations = 100
     result = ExperimentResult(
         experiment="fig7",
@@ -31,35 +25,14 @@ def run(fast: bool = True, executor=None) -> ExperimentResult:
         x=partitions + ["ref"],
         y_label="ms",
     )
-    from repro.engine.profiles import (
-        hbench_partition_sweep_model,
-        hbench_reference_model,
-    )
-
-    times = [
-        t / MS
-        for t in probe_series(
-            executor,
-            partitions,
-            lambda p: hb.partition_sweep_time(
-                p, nblocks=128, iterations=iterations
-            ),
-            lambda p: hbench_partition_sweep_model(
-                hb, p, nblocks=128, iterations=iterations
-            ),
-            label="fig7-partitions",
-        )
+    specs = [
+        RunSpec.for_app(PartitionProbe, 128, iterations, places=p)
+        for p in partitions
     ]
-    ref = (
-        probe_series(
-            executor,
-            [iterations],
-            hb.reference_time,
-            lambda i: hbench_reference_model(hb, i),
-            label="fig7-ref",
-        )[0]
-        / MS
-    )
+    specs.append(RunSpec.for_app(ReferenceProbe, iterations, places=1))
+    *times, ref = [
+        r.elapsed / MS for r in default_executor(executor).map(specs)
+    ]
     result.add_series("exec time", times + [ref])
 
     interior_best = min(times[1:-1])

@@ -140,12 +140,12 @@ class RunSpec:
     def predict(self) -> "AppRun":
         """Evaluate this spec analytically (no simulation).
 
-        Delegates to :func:`repro.engine.profiles.predict_run`; raises
+        Delegates to :func:`repro.engine.grid.predict_run`; raises
         :class:`~repro.errors.ModelUnsupportedError` when the spec is
         outside the analytic fast path.  Predicted runs carry
         ``engine="model"`` and are never written to the result cache.
         """
-        from repro.engine.profiles import predict_run
+        from repro.engine.grid import predict_run
 
         return predict_run(self)
 

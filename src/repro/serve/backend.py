@@ -33,16 +33,10 @@ from time import perf_counter
 
 from repro.autotune import ConfigSpace, run_search
 from repro.engine import resolve_engine
+from repro.engine.engines import _family_label
 from repro.engine.store import resolve_store
 from repro.metrics.registry import get_registry
 from repro.parallel import SimulationCache, SweepExecutor
-
-
-def _family_label(spec) -> str:
-    return (
-        f"{spec.app_cls.__name__.lower()}"
-        f"-d{spec.num_devices}-s{spec.streams_per_place}"
-    )
 
 
 class PredictionBackend:

@@ -17,7 +17,10 @@ schedule, in two parts (see :mod:`repro.workload.compile`):
 :func:`workload_of` assembles the two.  The grid path
 (:mod:`repro.engine.grid`) lowers one skeleton per shape, and carries
 each dataset's numbers as per-family columns.  Hotspot's ``p2p`` halo
-exchange and Cholesky's non-owner stream mappings have no port.
+exchange and Cholesky's non-owner stream mappings have no port.  A
+:class:`~repro.workload.app.WorkloadApp` and the hBench probes
+(:mod:`repro.apps.hbench`) carry their own port as a workload spec, one
+without a shape; a probe's is the schedule of its timed region.
 
 A port is *DES-exact*: ``WorkloadApp(workload_of(app, places=P,
 num_devices=N))`` run at ``places=P, num_devices=N`` produces
@@ -35,6 +38,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps.cholesky_app import CholeskyApp
+from repro.apps.hbench import (
+    PartitionProbe,
+    ReferenceProbe,
+    StreamedProbe,
+    TransferProbe,
+)
 from repro.apps.hotspot_app import HotspotApp
 from repro.apps.kmeans_app import KmeansApp
 from repro.apps.matmul_app import MatMulApp
@@ -384,8 +393,8 @@ def _cholesky_skeleton(nb: int, devices) -> Skeleton:
     return Skeleton((Phase(tuple(ops), sync=False),))
 
 
-#: App class -> (numbers, skeleton builder); a WorkloadApp is its own
-#: port.
+#: App class -> (numbers, skeleton builder); a WorkloadApp and the
+#: hBench probes carry their own port (``app.workload``).
 _PORTS = {
     MatMulApp: (_matmul_numbers, _matmul_skeleton),
     NNApp: (_nn_numbers, _nn_skeleton),
@@ -394,6 +403,10 @@ _PORTS = {
     SradApp: (_srad_numbers, _srad_skeleton),
     CholeskyApp: (_cholesky_numbers, _cholesky_skeleton),
     WorkloadApp: None,
+    TransferProbe: None,
+    StreamedProbe: None,
+    PartitionProbe: None,
+    ReferenceProbe: None,
 }
 
 
@@ -408,8 +421,8 @@ def _port(app):
 def port_parts(app) -> "tuple[tuple | None, Numbers | None]":
     """``app``'s port as ``(shape, numbers)``: ``shape`` is the app
     class and its skeleton's arguments (:func:`port_skeleton` builds the
-    skeleton from it, plus a device layout).  A :class:`WorkloadApp`
-    has neither: it is its own port."""
+    skeleton from it, plus a device layout).  An app that carries its
+    own port (a :class:`WorkloadApp`, an hBench probe) has neither."""
     port = _port(app)
     if port is None:
         return None, None
@@ -427,7 +440,7 @@ def workload_of(app, places: int = 1, num_devices: int = 1) -> WorkloadSpec:
     """The workload spec equivalent to ``app``'s enqueue schedule when
     run at ``places`` partitions over ``num_devices`` cards (the layout
     only matters to MatMul and Cholesky on several devices; see the
-    module docstring).  A :class:`WorkloadApp` is its own port."""
+    module docstring).  An app that carries its own port returns it."""
     port = _port(app)
     devices = None
     if num_devices != 1:

@@ -3,7 +3,14 @@
 import pytest
 
 from repro.apps import HBench, TransferPattern
+from repro.apps.hbench import (
+    PartitionProbe,
+    ReferenceProbe,
+    StreamedProbe,
+    TransferProbe,
+)
 from repro.errors import ConfigurationError
+from repro.parallel import RunSpec
 from repro.util.units import MB
 
 
@@ -113,3 +120,61 @@ class TestPartitionSweep:
             HBench(array_bytes=0)
         with pytest.raises(ConfigurationError):
             hb.partition_sweep_time(4, nblocks=100 * MB)
+
+
+class TestProbes:
+    """The probes as run specs: each runs its hBench method untouched,
+    at the geometry that method fixes."""
+
+    @pytest.mark.parametrize(
+        "spec, measure",
+        [
+            (
+                RunSpec.for_app(TransferProbe, 5, 11, places=2),
+                lambda hb: hb.transfer_time(5, 11),
+            ),
+            (
+                RunSpec.for_app(StreamedProbe, 40, 3, places=3),
+                lambda hb: hb.streamed_time(40, streams=3),
+            ),
+            (
+                RunSpec.for_app(PartitionProbe, 64, 10, places=7),
+                lambda hb: hb.partition_sweep_time(7, 64, 10),
+            ),
+            (
+                RunSpec.for_app(ReferenceProbe, 10, places=1),
+                lambda hb: hb.reference_time(10),
+            ),
+        ],
+        ids=["transfer", "streamed", "partition", "reference"],
+    )
+    def test_runs_its_hbench_method(self, hb, spec, measure):
+        run = spec.execute()
+        assert run.elapsed == measure(hb)
+        predicted = spec.predict()
+        assert (run.app, run.tiles, run.gflops) == pytest.approx(
+            (predicted.app, predicted.tiles, predicted.gflops)
+        )
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            RunSpec.for_app(TransferProbe, 5, 11, places=4),
+            RunSpec.for_app(StreamedProbe, 40, 4, places=2),
+            RunSpec.for_app(ReferenceProbe, 100, places=2),
+            RunSpec.for_app(PartitionProbe, 128, 100, places=4, num_devices=2),
+            RunSpec.for_app(
+                PartitionProbe, 128, 100, places=4, streams_per_place=2
+            ),
+        ],
+        ids=[
+            "transfer-at-4",
+            "streamed-4-at-2",
+            "reference-at-2",
+            "two-cards",
+            "two-streams-per-place",
+        ],
+    )
+    def test_refuses_a_geometry_its_method_does_not_run(self, spec):
+        with pytest.raises(ConfigurationError):
+            spec.execute()

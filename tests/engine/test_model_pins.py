@@ -13,7 +13,7 @@ compared with ``==``.  They cover every shape a point can take:
 * 2-device MatMul and Cholesky, whose ports depend on P;
 * Hotspot with a first-invocation cost, on one and two devices;
 * the twelve golden scenarios of ``tests/data/scenarios``;
-* the fig5 and fig7 hBench probe models.
+* the fig5 and fig7 hBench probes, through their ports.
 
 The pins were recorded from the event-replay evaluator that the grid
 replaced; the Cholesky T=100 pins from the grid's heap walk at
@@ -40,13 +40,13 @@ from repro.apps import (
     NNApp,
     SradApp,
 )
-from repro.apps.hbench import HBench, TransferPattern
-from repro.device.spec import PHI_31SP, RuntimeOverheads
-from repro.engine.profiles import (
-    hbench_partition_sweep_model,
-    hbench_reference_model,
-    hbench_transfer_model,
+from repro.apps.hbench import (
+    PartitionProbe,
+    ReferenceProbe,
+    TransferPattern,
+    TransferProbe,
 )
+from repro.device.spec import PHI_31SP, RuntimeOverheads
 from repro.parallel import RunSpec
 from repro.workload import WorkloadSpec
 
@@ -128,21 +128,19 @@ def _points() -> "dict[str, dict[str, object]]":
             groups["golden"][f"{path.stem}|P{p}"] = _spec_point(
                 RunSpec.for_workload(workload, places=p)
             )
-    hb = HBench()
     hbench = groups["hbench"]
     for pattern in TransferPattern:
         for x in range(17):
-            hd, dh = pattern.blocks(x)
-            hbench[f"fig5|{pattern.value}|{x}"] = (
-                lambda hd=hd, dh=dh: hbench_transfer_model(hb, hd, dh)
+            hbench[f"fig5|{pattern.value}|{x}"] = _spec_point(
+                RunSpec.for_app(TransferProbe, *pattern.blocks(x), places=2)
             )
     for p in (1, 2, 4, 8, 16, 32, 64, 128):
-        hbench[f"fig7|P{p}"] = lambda p=p: hbench_partition_sweep_model(
-            hb, p, nblocks=128, iterations=100
+        hbench[f"fig7|P{p}"] = _spec_point(
+            RunSpec.for_app(PartitionProbe, 128, 100, places=p)
         )
     for iterations in (1, 10, 100):
-        hbench[f"fig7|ref|{iterations}"] = (
-            lambda i=iterations: hbench_reference_model(hb, i)
+        hbench[f"fig7|ref|{iterations}"] = _spec_point(
+            RunSpec.for_app(ReferenceProbe, iterations, places=1)
         )
     return groups
 

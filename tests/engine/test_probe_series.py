@@ -1,47 +1,88 @@
-"""``probe_series`` — the engine contract for the fig5/6/7 probes."""
+"""The engine contract for the fig5/6/7 probe series.
+
+The hBench probes are run specs (:mod:`repro.apps.hbench`), so each
+engine evaluates a probe series through the executor it is handed:
+``sim`` runs the probes' DES bodies and records no ``engine.*``
+metrics, ``model`` answers every point from the probes' ports,
+``hybrid`` certifies each probe kind as its own family against
+simulated calibration points, and ``learned`` leaves every probe to its
+hybrid fallback (a probe's port has no shape to featurize).
+"""
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.experiments.probe_engine import probe_series
+from repro.apps.hbench import (
+    HBench,
+    PartitionProbe,
+    ReferenceProbe,
+    StreamedProbe,
+    TransferProbe,
+)
+from repro.engine import HybridEngine
+from repro.engine.grid import clear_grid_caches
+from repro.engine.learned.features import FeatureExtractor
+from repro.errors import ModelUnsupportedError
 from repro.metrics.registry import scoped_registry
-from repro.parallel import SweepExecutor
+from repro.parallel import RunSpec, SweepExecutor
+
+#: A five-point fig5-style series (the ID schedule): one family.
+XS = [0, 4, 8, 12, 16]
+SERIES = [RunSpec.for_app(TransferProbe, x, 16 - x, places=2) for x in XS]
 
 
-XS = [1, 2, 3, 4, 5]
+def _map(engine, specs=SERIES):
+    with scoped_registry() as registry:
+        runs = SweepExecutor(engine=engine).map(specs)
+        snapshot = registry.snapshot()
+    return runs, snapshot
 
 
-def _under(engine):
-    """An executor whose engine the probes read."""
-    return SweepExecutor(engine=engine)
+def _des():
+    hb = HBench()
+    return [hb.transfer_time(x, 16 - x) for x in XS]
 
 
-def _sim(x):
-    return float(10 * x)
+@pytest.fixture
+def skew(monkeypatch):
+    """``skew(f)`` scales every byte count of the transfer probes' port
+    by ``f``, so the model misses the DES by about that factor."""
+    schedule = TransferProbe._schedule
 
+    def apply(factor):
+        def skewed(self):
+            works, ops = schedule(self)
+            return works, [
+                (kind, tile, int(nbytes * factor))
+                for kind, tile, nbytes in ops
+            ]
 
-def _model_exact(x):
-    return float(10 * x)
+        monkeypatch.setattr(TransferProbe, "_schedule", skewed)
+        clear_grid_caches()
 
-
-def _model_off(x):
-    return float(25 * x)
+    yield apply
+    clear_grid_caches()
 
 
 class TestSimAndModel:
     @pytest.mark.parametrize("engine", ["sim"])
     def test_sim_uses_probe_and_records_nothing(self, engine):
-        with scoped_registry() as registry:
-            values = probe_series(_under(engine), XS, _sim, _model_off)
-            snapshot = registry.snapshot()
-        assert values == [_sim(x) for x in XS]
-        assert snapshot.empty()
+        runs, snapshot = _map(engine)
+        assert [r.elapsed for r in runs] == _des()
+        assert {r.engine for r in runs} == {"sim"}
+        recorded = [
+            entry["name"]
+            for section in ("counters", "gauges", "histograms")
+            for entry in snapshot.to_dict()[section]
+        ]
+        assert not [n for n in recorded if n.startswith("engine.")]
 
     def test_model_uses_model_everywhere(self):
-        with scoped_registry() as registry:
-            values = probe_series(_under("model"), XS, _sim, _model_off)
-            snapshot = registry.snapshot()
-        assert values == [_model_off(x) for x in XS]
+        runs, snapshot = _map("model")
+        assert {r.engine for r in runs} == {"model"}
+        assert [r.elapsed for r in runs] == [
+            spec.predict().elapsed for spec in SERIES
+        ]
+        assert [r.elapsed for r in runs] == pytest.approx(_des(), rel=1e-9)
         assert snapshot.counter_value(
             "engine.points", backend="model"
         ) == len(XS)
@@ -49,99 +90,65 @@ class TestSimAndModel:
 
 class TestHybrid:
     def test_certifies_and_keeps_simulated_midpoint(self):
-        def _model_near(x):
-            return _sim(x) * 1.01  # within the 5 % default tolerance
-
-        with scoped_registry() as registry:
-            values = probe_series(
-                _under("hybrid"), XS, _sim, _model_near, label="probe-test"
-            )
-            snapshot = registry.snapshot()
-        mid = XS[len(XS) // 2]
-        for x, value in zip(XS, values):
-            expected = _sim(x) if x == mid else _model_near(x)
-            assert value == pytest.approx(expected)
-        assert snapshot.counter_value("engine.calibration_points") == 1
+        runs, snapshot = _map("hybrid")
+        # The calibration spread of five points is 0, 2 and 4: the
+        # midpoint and both ends report their simulated times.
+        assert [r.engine for r in runs] == [
+            "sim", "model", "sim", "model", "sim"
+        ]
+        assert [r.elapsed for r in runs[::2]] == _des()[::2]
+        assert snapshot.counter_value("engine.calibration_points") == 3
         assert snapshot.counter_value("engine.families_certified") == 1
-        assert snapshot.counter_value(
-            "engine.points", backend="model"
-        ) == len(XS) - 1
-        assert snapshot.counter_value("engine.points", backend="sim") == 1
+        assert snapshot.counter_value("engine.points", backend="model") == 2
+        assert snapshot.counter_value("engine.points", backend="sim") == 3
         assert snapshot.gauge_value(
-            "engine.calibration_error", family="probe-test"
-        ) == pytest.approx(0.01)
+            "engine.calibration_error", family="transferprobe-d1-s1"
+        ) < 1e-12
 
-    def test_falls_back_to_sim_when_model_misses(self):
-        with scoped_registry() as registry:
-            values = probe_series(_under("hybrid"), XS, _sim, _model_off)
-            snapshot = registry.snapshot()
-        assert values == [_sim(x) for x in XS]
+    def test_each_probe_kind_is_its_own_family(self):
+        specs = [
+            *SERIES[:2],
+            RunSpec.for_app(StreamedProbe, 40, 4, places=4),
+            RunSpec.for_app(PartitionProbe, 128, 100, places=8),
+            RunSpec.for_app(PartitionProbe, 128, 100, places=16),
+            RunSpec.for_app(ReferenceProbe, 100, places=1),
+        ]
+        _, snapshot = _map("hybrid", specs)
+        assert snapshot.counter_value("engine.families_certified") == 4
+        for family in ("transfer", "streamed", "partition", "reference"):
+            assert snapshot.gauge_value(
+                "engine.calibration_error", family=f"{family}probe-d1-s1"
+            ) < 1e-12
+
+    def test_falls_back_to_sim_when_model_misses(self, skew):
+        skew(2.5)
+        runs, snapshot = _map("hybrid")
+        assert [r.elapsed for r in runs] == _des()
         assert snapshot.counter_value("engine.families_fallback") == 1
         assert snapshot.counter_value(
             "engine.points", backend="sim"
         ) == len(XS)
 
-    def test_tolerance_knob(self):
-        def _model_near(x):
-            return _sim(x) * 1.01
-
-        with scoped_registry() as registry:
-            values = probe_series(
-                _under("hybrid"), XS, _sim, _model_near, tolerance=0.001
-            )
-            snapshot = registry.snapshot()
-        assert values == [_sim(x) for x in XS]  # 1 % err > 0.1 % tol
+    def test_tolerance_knob(self, skew):
+        skew(1.01)
+        runs, snapshot = _map("hybrid")
+        assert snapshot.counter_value("engine.families_certified") == 1
+        runs, snapshot = _map(HybridEngine(tolerance=0.001))
+        assert [r.elapsed for r in runs] == _des()  # ~1 % err > 0.1 % tol
         assert snapshot.counter_value("engine.families_fallback") == 1
 
 
 class TestEngineResolution:
-    """``learned`` has no probe path of its own, and the CLI's one
-    executor carries the engine (and ``--engine-store``) to the probe
-    figures."""
-
-    @staticmethod
-    def _model_near(x):
-        return _sim(x) * 1.01
+    """``learned`` answers no probe point: it cannot featurize one, so
+    every probe takes its hybrid fallback."""
 
     @pytest.mark.parametrize("engine", ["learned"])
     def test_takes_the_hybrid_probe_path(self, engine):
-        with scoped_registry() as registry:
-            values = probe_series(
-                _under(engine), XS, _sim, self._model_near
-            )
-            snapshot = registry.snapshot()
-        mid = XS[len(XS) // 2]
-        assert values == [
-            _sim(x) if x == mid else self._model_near(x) for x in XS
-        ]
+        runs, snapshot = _map(engine)
+        hybrid, _ = _map("hybrid")
+        assert [r.elapsed for r in runs] == [r.elapsed for r in hybrid]
+        assert snapshot.counter_value("engine.points", backend="learned") == 0
+        assert snapshot.counter_value("engine.learned.fallback") == len(XS)
         assert snapshot.counter_value("engine.families_certified") == 1
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["--engine", "hybrid", "--engine-store", "{store}"],
-            ["--engine", "learned"],
-        ],
-        ids=["hybrid-store", "learned"],
-    )
-    def test_probe_figures_run_from_the_cli(self, argv, tmp_path):
-        from repro.experiments.__main__ import main
-
-        argv = [a.format(store=tmp_path / "store") for a in argv]
-        rc = main(
-            [*argv, "--results-dir", str(tmp_path / "results"), "fig5"]
-        )
-        assert rc == 0
-
-
-def test_unknown_engine_rejected():
-    class Oracle:
-        """An engine instance the executor accepts but no probe knows."""
-
-        name = "oracle"
-
-        def map(self, executor, specs):
-            raise AssertionError("probes never map specs")
-
-    with pytest.raises(ConfigurationError):
-        probe_series(_under(Oracle()), XS, _sim, _model_exact)
+        with pytest.raises(ModelUnsupportedError, match="no shaped port"):
+            FeatureExtractor().describe(SERIES[0])

@@ -1,15 +1,17 @@
-"""The analytic models against the DES over the fig5/fig6 probe grids.
+"""The analytic model against the DES over the fig5/6/7 probe grids.
 
 Two layers of evidence that the fast-path engine can stand in for the
 simulator:
 
-* **grid tolerance** — every hBench analytic helper
-  (:mod:`repro.engine.profiles`) is checked point-by-point against the
-  simulated probe it replaces, over exactly the grids fig5 and fig6
-  sweep, within :data:`repro.engine.DEFAULT_TOLERANCE`;
+* **grid agreement** — every hBench probe's port
+  (:mod:`repro.apps.hbench`), evaluated by the grid, is checked
+  point-by-point against the simulated probe, over exactly the grids
+  fig5, fig6 and fig7 sweep: within
+  :data:`repro.engine.DEFAULT_TOLERANCE` everywhere, and to ``1e-9``
+  relative at the points each figure's claims rest on;
 * **model-shape properties** — Hypothesis drives
   :class:`repro.model.overlap.OverlapModel` over arbitrary stage times,
-  asserting the orderings the engine's certification leans on:
+  asserting the orderings the X3 validation study leans on:
   ``serial >= streamed(n) >= ideal`` and ``streamed(n)`` monotonically
   non-increasing in ``n`` toward the ideal bound.
 """
@@ -18,15 +20,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.hbench import HBench, TransferPattern
-from repro.engine import DEFAULT_TOLERANCE
-from repro.engine.profiles import (
-    hbench_partition_sweep_model,
-    hbench_reference_model,
-    hbench_streamed_model,
-    hbench_transfer_model,
+from repro.apps.hbench import (
+    HBench,
+    PartitionProbe,
+    ReferenceProbe,
+    StreamedProbe,
+    TransferPattern,
+    TransferProbe,
 )
+from repro.engine import DEFAULT_TOLERANCE
 from repro.model.overlap import OverlapModel
+from repro.parallel import RunSpec, SweepExecutor
 from tests.strategies import stage_times
 
 
@@ -34,55 +38,66 @@ def _rel_error(predicted: float, simulated: float) -> float:
     return abs(predicted - simulated) / simulated
 
 
+def _model_and_des(spec: RunSpec) -> "tuple[float, float]":
+    return spec.predict().elapsed, spec.execute().elapsed
+
+
+def _transfer(hd: int, dh: int) -> RunSpec:
+    return RunSpec.for_app(TransferProbe, hd, dh, places=2)
+
+
+def _streamed(iterations: int) -> RunSpec:
+    return RunSpec.for_app(StreamedProbe, iterations, 4, places=4)
+
+
 class TestFig5GridTolerance:
     """Transfer-schedule model vs DES over the full fig5 grid."""
 
-    @pytest.fixture(scope="class")
-    def hb(self):
-        return HBench()
-
     @pytest.mark.parametrize("pattern", list(TransferPattern))
-    def test_pattern_within_tolerance(self, hb, pattern):
+    def test_pattern_within_tolerance(self, pattern):
         total = 16
         for x in range(0, total + 1):
-            hd, dh = pattern.blocks(x, total)
-            simulated = hb.transfer_time(hd, dh)
-            predicted = hbench_transfer_model(hb, hd, dh)
+            predicted, simulated = _model_and_des(
+                _transfer(*pattern.blocks(x, total))
+            )
             assert _rel_error(predicted, simulated) <= DEFAULT_TOLERANCE, (
                 pattern,
                 x,
             )
 
-    def test_pattern_model_is_exact(self, hb):
+    def test_pattern_model_is_exact(self):
         # The transfer replay reproduces the DES's request-ordered link
         # lane exactly — not merely within tolerance.
         for pattern in TransferPattern:
-            hd, dh = pattern.blocks(8, 16)
-            assert hbench_transfer_model(hb, hd, dh) == pytest.approx(
-                hb.transfer_time(hd, dh), rel=1e-9
+            predicted, simulated = _model_and_des(
+                _transfer(*pattern.blocks(8, 16))
             )
+            assert predicted == pytest.approx(simulated, rel=1e-9)
 
 
 class TestFig6GridTolerance:
-    """Streamed-overlap estimate vs DES over the full fig6 grid."""
+    """The Streamed line's chunk schedule vs DES over the full fig6
+    grid."""
 
-    @pytest.fixture(scope="class")
-    def hb(self):
-        return HBench()
+    def test_streamed_within_tolerance(self):
+        from repro.experiments import fig6_overlap
 
-    def test_streamed_within_tolerance(self, hb):
-        for iterations in range(20, 61, 5):
-            simulated = hb.streamed_time(iterations)
-            predicted = hbench_streamed_model(hb, iterations)
-            assert (
-                _rel_error(predicted, simulated) <= DEFAULT_TOLERANCE
-            ), iterations
+        def streamed(engine):
+            result = fig6_overlap.run(
+                fast=False, executor=SweepExecutor(engine=engine)
+            )
+            return result.series_by_label("Streamed")
 
-    def test_streamed_preserves_f2_ordering(self, hb):
+        assert streamed("model") == pytest.approx(
+            streamed("sim"), rel=1e-9
+        )
+
+    def test_streamed_preserves_f2_ordering(self):
         # The certified substitute must keep the Streamed line strictly
         # between Ideal and Data+Kernel (finding F2).
+        hb = HBench()
         for iterations in range(20, 61, 10):
-            predicted = hbench_streamed_model(hb, iterations)
+            predicted = _streamed(iterations).predict().elapsed
             assert (
                 hb.ideal_time(iterations)
                 < predicted
@@ -91,22 +106,20 @@ class TestFig6GridTolerance:
 
 
 class TestFig7Probes:
-    """Partition-sweep and reference replicas vs the DES."""
-
-    @pytest.fixture(scope="class")
-    def hb(self):
-        return HBench()
+    """Partition-sweep and reference ports vs the DES."""
 
     @pytest.mark.parametrize("places", [1, 2, 8, 32, 128])
-    def test_partition_sweep_exact(self, hb, places):
-        assert hbench_partition_sweep_model(hb, places) == pytest.approx(
-            hb.partition_sweep_time(places), rel=1e-9
+    def test_partition_sweep_exact(self, places):
+        predicted, simulated = _model_and_des(
+            RunSpec.for_app(PartitionProbe, 128, 100, places=places)
         )
+        assert predicted == pytest.approx(simulated, rel=1e-9)
 
-    def test_reference_exact(self, hb):
-        assert hbench_reference_model(hb, 100) == pytest.approx(
-            hb.reference_time(100), rel=1e-9
+    def test_reference_exact(self):
+        predicted, simulated = _model_and_des(
+            RunSpec.for_app(ReferenceProbe, 100, places=1)
         )
+        assert predicted == pytest.approx(simulated, rel=1e-9)
 
 
 class TestOverlapModelProperties:

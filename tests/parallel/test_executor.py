@@ -196,6 +196,17 @@ class TestExperimentEquivalence:
             s.values for s in parallel.series
         ]
 
+    @pytest.mark.parametrize("figure", ["fig5", "fig7"])
+    def test_probe_figures_parallel_match_serial(self, figure):
+        # The hBench probes pickle into pool workers by reference.
+        from repro.experiments.__main__ import EXPERIMENTS
+
+        serial = EXPERIMENTS[figure](executor=SweepExecutor(jobs=1))
+        parallel = EXPERIMENTS[figure](executor=SweepExecutor(jobs=2))
+        assert [s.values for s in serial.series] == [
+            s.values for s in parallel.series
+        ]
+
 
 class TestProgressReporting:
     """The callback contract: exactly one call per spec, ``done``

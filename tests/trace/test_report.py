@@ -77,10 +77,12 @@ class TestCli:
         assert "run report" in out
         assert "#" in out  # the Gantt chart
 
-    def test_experiments_forwarding(self, capsys):
+    def test_experiments_forwarding(self, capsys, tmp_path):
         from repro.__main__ import main
 
-        assert main(["experiments", "fig5"]) == 0
+        assert main(
+            ["experiments", "--results-dir", str(tmp_path), "fig5"]
+        ) == 0
         out = capsys.readouterr().out
         assert "fig5" in out
 
