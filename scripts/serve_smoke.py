@@ -2,10 +2,12 @@
 """End-to-end smoke test of ``python -m repro serve``.
 
 Boots the real server as a subprocess on an ephemeral port, waits for
-the ready line, answers one ``/predict``, one ``/sweep`` and one
-*streamed* ``/sweep`` request over actual HTTP, checks ``/healthz``,
-then asks for a graceful shutdown (SIGTERM) and verifies the process
-drains and exits cleanly.
+the ready line, checks ``/healthz``, sends one infeasible ``/predict``
+(mm at P=225, past the card's 224 threads), which must answer 400 with
+an ``error`` body, then answers one ``/predict``, one ``/sweep`` and one
+*streamed* ``/sweep`` request over actual HTTP, then asks for a
+graceful shutdown (SIGTERM) and verifies the process drains and exits
+cleanly.
 
 ``--workers N`` boots the prefork pool instead: the same checks run
 against the pool, ``/metrics`` must report the aggregated cross-worker
@@ -57,6 +59,22 @@ def post(base: str, path: str, payload: dict) -> dict:
         if response.status != 200:
             raise SystemExit(f"{path}: HTTP {response.status}")
         return json.loads(response.read())
+
+
+def post_status(base: str, path: str, payload: dict) -> "tuple[int, dict]":
+    """POST and return ``(status, parsed body)`` whatever the status."""
+    body = json.dumps(payload).encode("utf-8")
+    request = urllib.request.Request(
+        base + path,
+        data=body,
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=20) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read())
 
 
 def get(base: str, path: str) -> dict:
@@ -149,6 +167,16 @@ def main() -> int:
         if health.get("status") != "ok":
             raise SystemExit(f"unexpected health payload: {health}")
         print(f"healthz ok: engine={health.get('engine')}")
+
+        status, refused = post_status(
+            base, "/predict", {"app": "mm", "P": 225}
+        )
+        if status != 400 or not refused.get("error"):
+            raise SystemExit(
+                f"infeasible predict: want 400 with an error, got "
+                f"{status} {refused}"
+            )
+        print(f"infeasible predict ok: mm P=225 -> 400 ({refused['error']})")
 
         point = post(base, "/predict", {"app": "mm", "P": 14})
         if point.get("P") != 14 or point.get("elapsed_seconds", 0) <= 0:

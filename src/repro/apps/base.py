@@ -16,6 +16,7 @@ from repro.hstreams.context import StreamContext
 from repro.metrics.instrument import observe_app_run
 from repro.trace import Timeline
 from repro.trace.stats import Summary, summarize
+from repro.util.units import gflops
 
 
 @dataclass
@@ -157,7 +158,7 @@ class StreamedApp(abc.ABC):
             elapsed=elapsed,
             places=places,
             tiles=self.tiles,
-            gflops=(flops / elapsed / 1e9) if flops > 0 else None,
+            gflops=gflops(flops, elapsed) if flops > 0 else None,
             outputs=outputs,
             timeline=Timeline(ctx.trace),
         )

@@ -32,7 +32,7 @@ from repro.device.spec import DeviceSpec, PHI_31SP
 from repro.errors import ConfigurationError
 from repro.hstreams.context import StreamContext
 from repro.kernels.vecadd import vecadd_work
-from repro.util.units import MB
+from repro.util.units import MB, gflops
 
 
 class TransferPattern(enum.Enum):
@@ -282,7 +282,7 @@ class _Probe:
             elapsed=elapsed,
             places=places,
             tiles=self.tiles,
-            gflops=(flops / elapsed / 1e9) if flops > 0 else None,
+            gflops=gflops(flops, elapsed) if flops > 0 else None,
         )
 
 

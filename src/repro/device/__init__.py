@@ -31,8 +31,8 @@ from repro.device.topology import Partition, Topology
 from repro.device.pcie import PcieLink, TransferDirection
 from repro.device.memory import DeviceMemory
 from repro.device.compute import ComputeModel, KernelWork
-from repro.device.mic import MicDevice
-from repro.device.platform import HeteroPlatform
+from repro.device.mic import MicDevice, invocation_time
+from repro.device.platform import HeteroPlatform, place_layout
 
 __all__ = [
     "DeviceSpec",
@@ -48,5 +48,7 @@ __all__ = [
     "ComputeModel",
     "KernelWork",
     "MicDevice",
+    "invocation_time",
     "HeteroPlatform",
+    "place_layout",
 ]

@@ -138,8 +138,7 @@ class ComputeModel:
         """Execution time of one invocation of ``work`` on ``partition``.
 
         Does **not** include launch latency or temporary-allocation cost;
-        those are added by the device/runtime layers
-        (:meth:`repro.device.mic.MicDevice.kernel_duration`).
+        :func:`repro.device.mic.invocation_time` adds those.
         """
         rate = self.effective_rate(work, partition)
         rate *= self.grain_factor(work, partition)

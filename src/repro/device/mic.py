@@ -22,6 +22,30 @@ from repro.errors import TopologyError
 from repro.sim import Environment, Event, Resource
 
 
+def invocation_time(
+    compute: ComputeModel,
+    memory: DeviceMemory,
+    work: KernelWork,
+    partition: Partition,
+    first_extra: float = 0.0,
+) -> float:
+    """Noise-free on-device time of one invocation of ``work`` on
+    ``partition``: the launch latency (plus ``first_extra``, a first
+    invocation's code upload), the compute-model time, then the
+    temporary-allocation cost of an allocating kernel, summed in that
+    order.  The DES (:meth:`MicDevice.kernel_duration`) and the model
+    (:mod:`repro.engine.grid`) both price kernels here."""
+    duration = compute.spec.overheads.launch + first_extra
+    duration += compute.kernel_time(work, partition)
+    if work.temp_alloc_bytes > 0:
+        duration += memory.alloc_cost(
+            partition.nthreads,
+            work.temp_alloc_bytes,
+            per_thread=work.temp_alloc_per_thread,
+        )
+    return duration
+
+
 class MicDevice:
     """A simulated Intel MIC coprocessor attached to the host via PCIe."""
 
@@ -97,22 +121,17 @@ class MicDevice:
         return jitter
 
     def kernel_duration(self, work: KernelWork, partition: Partition) -> float:
-        """Full on-device duration of one kernel invocation.
-
-        Adds the launch latency and (for allocating kernels) the
-        temporary-allocation cost to the compute-model time.
-        """
-        duration = self.spec.overheads.launch
+        """Full on-device duration of one kernel invocation: its
+        :func:`invocation_time`, where the first invocation of a kernel
+        name on this card pays the code upload, times the seeded
+        measurement noise when the spec has any."""
+        first_extra = 0.0
         if work.name not in self._kernels_loaded:
             self._kernels_loaded.add(work.name)
-            duration += self.spec.overheads.first_invoke_extra
-        duration += self.compute.kernel_time(work, partition)
-        if work.temp_alloc_bytes > 0:
-            duration += self.memory.alloc_cost(
-                partition.nthreads,
-                work.temp_alloc_bytes,
-                per_thread=work.temp_alloc_per_thread,
-            )
+            first_extra = self.spec.overheads.first_invoke_extra
+        duration = invocation_time(
+            self.compute, self.memory, work, partition, first_extra
+        )
         if self.spec.noise_sigma > 0.0:
             duration *= float(self._rng.lognormal(0.0, self.spec.noise_sigma))
         return duration

@@ -16,7 +16,7 @@ import enum
 from collections.abc import Callable, Generator
 
 from repro.device.spec import LinkSpec
-from repro.sim import BusyMonitor, Environment, Event, Resource
+from repro.sim import Environment, Event, Resource
 
 
 class TransferDirection(enum.Enum):
@@ -54,9 +54,6 @@ class PcieLink:
                 TransferDirection.H2D: shared,
                 TransferDirection.D2H: shared,
             }
-        self.monitor = BusyMonitor(env, self._lanes[TransferDirection.H2D])
-        #: Completed transfers as (start, end, direction, nbytes).
-        self.log: list[tuple[float, float, TransferDirection, int]] = []
 
     def lane(self, direction: TransferDirection) -> Resource:
         """The resource representing ``direction``'s lane."""
@@ -83,5 +80,4 @@ class PcieLink:
             yield req
             start = self.env.now
             yield self.env.timeout(duration)
-            self.log.append((start, self.env.now, direction, nbytes))
         return (start, self.env.now)

@@ -18,6 +18,28 @@ from repro.errors import ConfigurationError
 from repro.sim import Environment
 
 
+def place_layout(places: int, num_devices: int) -> list[int]:
+    """Places per card under hStreams' device-major layout.
+
+    Each card takes ``places // num_devices`` places and the first
+    ``places % num_devices`` cards one more; places (and the streams on
+    them) are numbered card by card.  The runtime's
+    :class:`~repro.hstreams.context.StreamContext` lays its places out
+    this way, and the model prices each stream on the same card and
+    partition.
+    """
+    if num_devices < 1:
+        raise ConfigurationError(
+            f"need at least one device, got {num_devices}"
+        )
+    if places < num_devices:
+        raise ConfigurationError(
+            f"need at least one place per device ({places} < {num_devices})"
+        )
+    base, extra = divmod(places, num_devices)
+    return [base + 1] * extra + [base] * (num_devices - extra)
+
+
 class HeteroPlatform:
     """A host CPU plus ``n`` MIC coprocessors on one simulation clock."""
 

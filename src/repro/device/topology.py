@@ -49,6 +49,12 @@ class Partition:
         """Number of distinct physical cores hosting this partition."""
         return self.core_stop - self.core_start + 1
 
+    @property
+    def cost_key(self) -> tuple[int, bool, int]:
+        """Everything the cost models read of a partition: two
+        partitions with one key price every kernel alike."""
+        return (self.nthreads, self.shares_core, self.core_span)
+
 
 class Topology:
     """Thread/core geometry of one device."""
@@ -81,40 +87,8 @@ class Topology:
         ``total % count`` partitions get one extra thread), mirroring
         hStreams' even place decomposition.
         """
-        return list(self._partitions_cached(count))
-
-    @lru_cache(maxsize=256)
-    def _partitions_cached(self, count: int) -> tuple[Partition, ...]:
-        total = self.total_threads
-        if not 1 <= count <= total:
-            raise TopologyError(
-                f"partition count must lie in [1, {total}], got {count}"
-            )
-        base, extra = divmod(total, count)
-        bounds = [0]
-        for i in range(count):
-            bounds.append(bounds[-1] + base + (1 if i < extra else 0))
-
-        tpc = self.spec.threads_per_core
-        partitions = []
-        for i in range(count):
-            start, stop = bounds[i], bounds[i + 1]
-            core_start = start // tpc
-            core_stop = (stop - 1) // tpc
-            # The first core is shared if the previous partition ends on
-            # it; the last core is shared if the next one starts on it.
-            shares = (start % tpc != 0) or (stop % tpc != 0 and stop != total)
-            partitions.append(
-                Partition(
-                    index=i,
-                    thread_start=start,
-                    thread_stop=stop,
-                    core_start=core_start,
-                    core_stop=core_stop,
-                    shares_core=shares,
-                )
-            )
-        return tuple(partitions)
+        spec = self.spec
+        return list(_split(spec.total_threads, spec.threads_per_core, count))
 
     def partition_is_aligned(self, count: int) -> bool:
         """True when no partition shares a physical core with another."""
@@ -140,3 +114,38 @@ class Topology:
             if cores % d == 0:
                 assert d in candidates, f"divisor {d} missing"
         return candidates
+
+
+@lru_cache(maxsize=256)
+def _split(total: int, tpc: int, count: int) -> tuple[Partition, ...]:
+    """:meth:`Topology.partitions` of ``total`` threads, ``tpc`` per
+    core: a pure function of the geometry, so every device (and the
+    model) of one geometry shares the cached tuple."""
+    if not 1 <= count <= total:
+        raise TopologyError(
+            f"partition count must lie in [1, {total}], got {count}"
+        )
+    base, extra = divmod(total, count)
+    bounds = [0]
+    for i in range(count):
+        bounds.append(bounds[-1] + base + (1 if i < extra else 0))
+
+    partitions = []
+    for i in range(count):
+        start, stop = bounds[i], bounds[i + 1]
+        core_start = start // tpc
+        core_stop = (stop - 1) // tpc
+        # The first core is shared if the previous partition ends on
+        # it; the last core is shared if the next one starts on it.
+        shares = (start % tpc != 0) or (stop % tpc != 0 and stop != total)
+        partitions.append(
+            Partition(
+                index=i,
+                thread_start=start,
+                thread_stop=stop,
+                core_start=core_start,
+                core_stop=core_stop,
+                shares_core=shares,
+            )
+        )
+    return tuple(partitions)

@@ -19,9 +19,11 @@ The public surface (see ``docs/API.md``):
   (P, T, D) sweep lowered to per-family array evaluations, raising
   :class:`~repro.errors.ModelUnsupportedError` outside the fast path;
 * :func:`~repro.engine.grid.predict_run` — the same evaluator at one
-  spec;
-* :mod:`repro.engine.analytic` — the vectorized cost-model replicas the
-  grid path is built from.
+  spec.
+
+The model keeps no cost model of its own: it prices kernels with the
+device model the DES runs (:mod:`repro.device`), on the DES's place
+layout and partitions, so only the schedule evaluation is the model's.
 """
 
 from repro.engine.engines import (

@@ -30,16 +30,19 @@ point.
   shape (a zero byte count turns a transfer into a marker), is lowered
   from its own spec for its family alone;
 * :class:`_Schedule` — a lowering at one partition count: the stream
-  map and geometry, each action's dependents (its FIFO successor merged
-  with its explicit dependents in ascending issue order), and the
-  initial dependency counts and ready set.  Every dataset of the shape
-  shares it (at most ``_POINT_CAP`` per lowering);
+  map, each stream's card and partition (:class:`_StreamLayout`: the
+  DES's own place layout and partitions), each action's dependents (its
+  FIFO successor merged with its explicit dependents in ascending issue
+  order), and the initial dependency counts and ready set.  Every
+  dataset of the shape shares it (at most ``_POINT_CAP`` per lowering);
 * :class:`_Columns` — one family's numbers on a lowering: each
   transfer's lane occupancy and each kernel's cost class.  Per point,
-  :meth:`_CompiledFamily._build_point` adds the cost column (one
-  vectorized :func:`~repro.engine.analytic.invoke_cost` table) and the
-  closed steps' maxima, and the family memoizes only the answer (at
-  most ``_POINT_CAP`` per family);
+  :meth:`_CompiledFamily._build_point` prices every cost class once per
+  distinct partition through the device model the DES runs
+  (:func:`~repro.device.mic.invocation_time`: launch, kernel time,
+  temporary allocation), gathers the cost column and the closed steps'
+  maxima, and the family memoizes only the answer (at most
+  ``_POINT_CAP`` per family);
 * :func:`_eval_phase` — the *heap walk*, which defines how one phase
   between two global syncs settles: an action waits for its stream
   predecessor (FIFO) and its explicit deps, pays the cross-device sync
@@ -87,13 +90,15 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.apps.base import AppRun
-from repro.engine.analytic import (
-    check_supported,
-    invoke_cost,
-    stream_geometry,
-)
+from repro.device.compute import ComputeModel
+from repro.device.memory import DeviceMemory
+from repro.device.mic import invocation_time
+from repro.device.platform import place_layout
+from repro.device.spec import DeviceSpec
+from repro.device.topology import Topology
 from repro.errors import ConfigurationError, ModelUnsupportedError
 from repro.metrics.registry import get_registry
+from repro.util.units import gflops
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.parallel.runspec import RunSpec
@@ -249,6 +254,51 @@ class _Lowering:
         return sched
 
 
+class _StreamLayout:
+    """Each stream's card and partition at one partition count, laid
+    out as the DES lays them out: one stream per place, places per card
+    by :func:`~repro.device.platform.place_layout`, each card split by
+    :meth:`~repro.device.topology.Topology.partitions`.  Partitions
+    with one :attr:`~repro.device.topology.Partition.cost_key` are
+    priced once."""
+
+    __slots__ = ("cards", "priced", "part_of")
+
+    def __init__(self, spec: DeviceSpec, places: int, num_devices: int):
+        try:
+            layout = place_layout(places, num_devices)
+        except ConfigurationError as exc:
+            raise ModelUnsupportedError(str(exc)) from exc
+        topology = Topology(spec)
+        # cost key -> (index into ``priced``, its first partition)
+        distinct: dict = {}
+        cards, part_of = [], []
+        for card, count in enumerate(layout):
+            for part in topology.partitions(count):
+                key = part.cost_key
+                entry = distinct.setdefault(key, (len(distinct), part))
+                cards.append(card)
+                part_of.append(entry[0])
+        self.cards = np.array(cards, dtype=np.int64)
+        #: One partition per distinct cost key, and each stream's entry.
+        self.priced = [part for _, part in distinct.values()]
+        self.part_of = np.array(part_of, dtype=np.int64)
+
+    def costs(self, compute, memory, works) -> np.ndarray:
+        """Each of ``works``' invocation time on each stream (one row
+        per work): :func:`~repro.device.mic.invocation_time` without a
+        first invocation, as the device model prices it."""
+        table = np.array(
+            [
+                invocation_time(compute, memory, work, part)
+                for work in works
+                for part in self.priced
+            ],
+            dtype=np.float64,
+        ).reshape(len(works), len(self.priced))
+        return table[:, self.part_of]
+
+
 class _SchedulePhase:
     """One settle at one partition count: plain lists the flat loop
     indexes without numpy overhead (``stream`` stays an array for the
@@ -276,15 +326,14 @@ class _SchedulePhase:
 
 class _Schedule:
     """A lowering at one partition count (see the module docstring):
-    the stream geometry, one :class:`_SchedulePhase` per settle and each
+    the stream layout, one :class:`_SchedulePhase` per settle and each
     closed step's stream map."""
 
-    __slots__ = ("S", "geom", "phases", "closed")
+    __slots__ = ("S", "layout", "phases", "closed")
 
     def __init__(self, low: _Lowering, places: int, num_devices: int):
-        spec = low.spec
-        self.geom = geom = stream_geometry(places, num_devices, spec)
-        self.S = S = geom.num_streams
+        self.layout = layout = _StreamLayout(low.spec, places, num_devices)
+        self.S = S = len(layout.cards)
         first = low.names is not None
         multi = num_devices > 1
         self.phases = []
@@ -304,7 +353,7 @@ class _Schedule:
             kind, device_of, first_key = ph.kind, [0] * n, None
             if multi or first:
                 kind = np.asarray(ph.kind)
-                dev = geom.device[stream]
+                dev = layout.cards[stream]
                 device_of = dev.tolist()
                 if first:
                     kind[kind == _KERNEL] = _KERNEL_FIRST
@@ -641,6 +690,8 @@ class _CompiledFamily:
         self.cross_sync = over.cross_device_sync
         self.first_extra = over.first_invoke_extra
         self.lat = spec.link.latency
+        self.compute = ComputeModel(spec)
+        self.memory = DeviceMemory(spec)
         #: The P-independent lowering and this family's columns on it,
         #: or None when they depend on P.
         self.low: "_Lowering | None" = None
@@ -660,18 +711,15 @@ class _CompiledFamily:
     def _build_point(self, places: int) -> _PointData:
         low, cols = self.low, self.cols
         if low is None:
-            geom = stream_geometry(places, self.num_devices, self.spec)
+            layout = _StreamLayout(self.spec, places, self.num_devices)
             low, cols = _lowered(
                 self.spec,
                 _model_parts(self.app, places, self.num_devices),
-                geom.device.tolist(),
+                layout.cards.tolist(),
             )
         sched = low.schedule(places, self.num_devices)
         S = sched.S
-        rows = [invoke_cost(w, sched.geom, self.spec) for w in cols.classes]
-        ctable = (
-            np.vstack(rows) if rows else np.zeros((0, S), dtype=np.float64)
-        )
+        ctable = sched.layout.costs(self.compute, self.memory, cols.classes)
         padded = np.vstack([np.zeros((1, S), dtype=np.float64), ctable])
         cost = [
             padded[klass + 1, sp.stream].tolist()
@@ -746,7 +794,7 @@ class _CompiledFamily:
             elapsed=elapsed,
             places=places,
             tiles=self.app_tiles,
-            gflops=(flops / elapsed / 1e9) if flops > 0 else None,
+            gflops=gflops(flops, elapsed) if flops > 0 else None,
             engine="model",
         )
 
@@ -848,6 +896,19 @@ def _lowered(spec, parts: tuple, device=None) -> "tuple[_Lowering, _Columns]":
             _SHAPES.move_to_end(key)
     check_reserved(low.reserved, numbers.nbytes, spec.memory_bytes)
     return low, _Columns(low, numbers, spec.link.bandwidth)
+
+
+def check_supported(spec: DeviceSpec) -> None:
+    """Reject device specs the model cannot reproduce."""
+    if spec.noise_sigma > 0.0:
+        raise ModelUnsupportedError(
+            "analytic engine cannot reproduce seeded measurement noise "
+            f"(noise_sigma={spec.noise_sigma})"
+        )
+    if spec.link.full_duplex:
+        raise ModelUnsupportedError(
+            "analytic engine models the paper's half-duplex link only"
+        )
 
 
 def _compile_family(spec0: "RunSpec") -> _CompiledFamily:

@@ -40,6 +40,7 @@ from repro.engine.learned.model import RidgeModel, train_model
 from repro.engine.store import resolve_store
 from repro.errors import ConfigurationError, ModelUnsupportedError
 from repro.metrics.registry import get_registry
+from repro.util.units import gflops
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.parallel.executor import SweepExecutor
@@ -241,9 +242,7 @@ class LearnedEngine:
                         elapsed=elapsed,
                         places=point.places,
                         tiles=point.tiles,
-                        gflops=(
-                            (flops / elapsed / 1e9) if flops > 0 else None
-                        ),
+                        gflops=gflops(flops, elapsed) if flops > 0 else None,
                         engine="learned",
                     )
                 else:

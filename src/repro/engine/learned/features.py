@@ -10,10 +10,10 @@ Two layers, one source of truth:
   learned tier can never drift apart.
 * :class:`FeatureExtractor` — the full map over a
   :class:`~repro.workload.spec.WorkloadSpec` at a partition count:
-  the configuration block plus a *physics block* derived from the same
-  vectorized cost models the analytic engine uses
-  (:func:`~repro.engine.analytic.invoke_cost`,
-  :func:`~repro.engine.analytic.stream_geometry`).  The dominant
+  the configuration block plus a *physics block* whose kernels are
+  priced as the grid prices them: each stream's partition under the
+  DES's place layout, through the device model's
+  :func:`~repro.device.mic.invocation_time`.  The dominant
   physics feature is the log of a closed-form makespan estimate —
   per-stream compute sums, a serialized-link bound, and sync
   overheads — so the trained model only has to learn a *correction
@@ -33,9 +33,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.device.compute import ComputeModel
+from repro.device.memory import DeviceMemory
 from repro.device.spec import DeviceSpec, PHI_31SP
 from repro.device.topology import Topology
-from repro.engine.analytic import check_supported, invoke_cost, stream_geometry
+from repro.engine.grid import _StreamLayout, check_supported
 from repro.errors import ConfigurationError, ModelUnsupportedError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -123,6 +125,8 @@ class FeatureExtractor:
     def __init__(self, spec: DeviceSpec = PHI_31SP) -> None:
         check_supported(spec)
         self.spec = spec
+        self.compute = ComputeModel(spec)
+        self.memory = DeviceMemory(spec)
         self.feature_names = FEATURE_NAMES
 
     # -- the feature map -----------------------------------------------------
@@ -134,15 +138,15 @@ class FeatureExtractor:
         shape statistics the secondary features are built from.
 
         Per expanded phase: the slower of the busiest stream's summed
-        invoke costs and the serialized link occupancy, then one
+        invocation costs and the serialized link occupancy, then one
         ``P * sync_per_stream`` charge per sync phase (and one for the
-        harness's final global sync) — the same cost constants the DES
-        and the analytic model use, minus dependency interleaving.
+        harness's final global sync) — kernels priced by the device
+        model the DES and the grid use, minus dependency interleaving.
         """
-        geom = stream_geometry(places, 1, self.spec)
-        n_streams = geom.num_streams
+        layout = _StreamLayout(self.spec, places, 1)
+        n_streams = len(layout.cards)
         over = self.spec.overheads
-        costs = [invoke_cost(w, geom, self.spec) for w in works]
+        costs = layout.costs(self.compute, self.memory, works)
         link_bw = self.spec.link.bandwidth
         link_lat = self.spec.link.latency
 

@@ -3,9 +3,10 @@
 ``StreamContext(places=P, streams_per_place=S)`` mirrors
 ``hStreams_app_init(P, S)``: the device's usable cores are split into
 ``P`` partitions, each hosting ``S`` streams (``P * S`` streams total).
-On a multi-device platform the ``P`` places are distributed round-robin
-over the domains — hStreams' unified view of all MICs, which lets the
-same streamed code run on several cards unchanged (Sec. VI).
+On a multi-device platform the ``P`` places are distributed over the
+domains device-major (:func:`~repro.device.platform.place_layout`) —
+hStreams' unified view of all MICs, which lets the same streamed code
+run on several cards unchanged (Sec. VI).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.device.platform import HeteroPlatform
+from repro.device.platform import HeteroPlatform, place_layout
 from repro.errors import ConfigurationError
 from repro.hstreams.buffer import Buffer
 from repro.hstreams.domain import Domain
@@ -55,19 +56,11 @@ class StreamContext:
         #: Completed-action trace (appended by actions as they finish).
         self.trace: list[TraceEvent] = []
 
-        ndev = self.platform.num_devices
-        if places < ndev:
-            raise ConfigurationError(
-                f"need at least one place per device ({places} < {ndev})"
-            )
-        per_device = [places // ndev] * ndev
-        for i in range(places % ndev):
-            per_device[i] += 1
-
         self.domains: list[Domain] = []
         self.places: list[Place] = []
         global_index = 0
-        for dev_index, count in enumerate(per_device):
+        ndev = self.platform.num_devices
+        for dev_index, count in enumerate(place_layout(places, ndev)):
             device = self.platform.device(dev_index)
             device.repartition(count)
             domain = Domain(index=dev_index, device=device)

@@ -183,14 +183,14 @@ class Batch:
             start = stop
         return out
 
-    def resolve(self, results: list) -> None:
-        """Distribute a batch-wide result list back to the tickets."""
-        for ticket, sl in self.slices:
-            ticket.resolve(results=list(results[sl]))
-
-    def fail(self, error: Exception) -> None:
-        for ticket in self.tickets:
-            ticket.resolve(error=error)
+    def settle(self, outcomes: list) -> None:
+        """Resolve each ticket with its own outcome, in ticket order: its
+        results list, or the exception that failed it."""
+        for ticket, outcome in zip(self.tickets, outcomes):
+            if isinstance(outcome, Exception):
+                ticket.resolve(error=outcome)
+            else:
+                ticket.resolve(results=outcome)
 
 
 class _FamilyGroup:

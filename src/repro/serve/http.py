@@ -38,10 +38,10 @@ memory stays O(batch), not O(grid), and the first results arrive while
 the tail of the sweep is still evaluating.
 
 Status mapping (see ``docs/SERVING.md`` for the failure-mode guide):
-400 malformed payload, 404 unknown route, 413 oversized body, 422 a
-point whose buffers do not fit in device memory, 429 queue full (load
-shed), 503 draining, 504 per-request deadline exceeded before
-dispatch, 500 evaluation error.
+400 malformed payload or infeasible geometry, 404 unknown route, 413
+oversized body, 422 a point whose buffers do not fit in device memory,
+429 queue full (load shed), 503 draining, 504 per-request deadline
+exceeded before dispatch, 500 evaluation error.
 
 The handlers themselves (:func:`handle_request`) are transport-free —
 they take a parsed ``(method, path, payload)`` and return ``(status,
@@ -58,7 +58,7 @@ import signal
 from collections import deque
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError, DeviceMemoryError
+from repro.errors import ConfigurationError, DeviceMemoryError, TopologyError
 from repro.metrics.registry import get_registry
 from repro.serve.api import (
     BadRequest,
@@ -168,12 +168,16 @@ def _shed_response(exc: Shed) -> "tuple[int, dict]":
 def _ticket_error_response(error: Exception) -> "tuple[int, dict]":
     if isinstance(error, Shed):
         return _shed_response(error)
-    # An over-capacity point fails in the DES, raised directly or
-    # wrapped in a SweepError: the request, not the server, is at fault.
-    if isinstance(error, DeviceMemoryError) or isinstance(
-        error.__cause__, DeviceMemoryError
-    ):
-        return 422, {"error": str(error)}
+    # A point the request makes impossible fails in evaluation, raised
+    # directly or wrapped in a SweepError: the request, not the server,
+    # is at fault.  An infeasible geometry (a partition count past the
+    # card's threads, a tiling the dataset does not take) is a 400; an
+    # over-capacity point a 422.
+    for cause in (error, error.__cause__):
+        if isinstance(cause, DeviceMemoryError):
+            return 422, {"error": str(error)}
+        if isinstance(cause, (ConfigurationError, TopologyError)):
+            return 400, {"error": str(error)}
     return 500, {"error": str(error)}
 
 

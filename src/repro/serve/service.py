@@ -38,14 +38,35 @@ LATENCY_BUCKETS = (
 
 
 def dispatch_batch(batch: Batch, dispatch, backend=None) -> list:
-    """Evaluate one batch: autotune tickets run the backend's search,
-    everything else goes through the plain specs dispatcher.  Autotune
-    requests never coalesce (they are direct tickets), so a batch is
-    either one autotune ticket or pure predict/sweep work."""
+    """Evaluate one batch; returns one outcome per ticket for
+    :meth:`Batch.settle`: its results list, or the exception that
+    failed it.
+
+    Autotune tickets run the backend's search, everything else goes
+    through the plain specs dispatcher.  Autotune requests never
+    coalesce (they are direct tickets), so a batch is either one
+    autotune ticket or pure predict/sweep work.  A batch of several
+    tickets that fails is dispatched again ticket by ticket, so a point
+    that cannot be evaluated fails only its own request.
+    """
     ticket = batch.tickets[0]
-    if ticket.kind == "autotune" and backend is not None:
-        return [backend.autotune(ticket.context)]
-    return dispatch(batch.specs)
+    try:
+        if ticket.kind == "autotune" and backend is not None:
+            return [[backend.autotune(ticket.context)]]
+        results = dispatch(batch.specs)
+    except Exception as exc:  # noqa: BLE001 - reported per ticket
+        if len(batch.tickets) == 1:
+            return [exc]
+        return [_dispatch_alone(t, dispatch) for t in batch.tickets]
+    return [list(results[sl]) for _, sl in batch.slices]
+
+
+def _dispatch_alone(ticket: Ticket, dispatch):
+    """One ticket's outcome, its specs dispatched on their own."""
+    try:
+        return list(dispatch(ticket.specs))
+    except Exception as exc:  # noqa: BLE001 - reported per ticket
+        return exc
 
 
 #: (registry, {(endpoint, status): (requests counter, latency histogram)}).
@@ -237,12 +258,11 @@ class PredictionService:
         while True:
             batch = await self._queue.get()
             try:
-                results = await asyncio.to_thread(
-                    dispatch_batch, batch, self.dispatch, self.backend
+                batch.settle(
+                    await asyncio.to_thread(
+                        dispatch_batch, batch, self.dispatch, self.backend
+                    )
                 )
-                batch.resolve(results)
-            except Exception as exc:  # noqa: BLE001 - reported per ticket
-                batch.fail(exc)
             finally:
                 self.batcher.complete(batch)
                 # Let the pump flush what gathered behind this batch.
@@ -322,11 +342,9 @@ class SyncDriver:
         batches, _shed = self.batcher.poll(self.now)
         for batch in batches:
             try:
-                batch.resolve(
+                batch.settle(
                     dispatch_batch(batch, self.dispatch, self.backend)
                 )
-            except Exception as exc:  # noqa: BLE001 - reported per ticket
-                batch.fail(exc)
             finally:
                 self.batcher.complete(batch)
         return len(batches)

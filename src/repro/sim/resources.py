@@ -39,7 +39,12 @@ class Request(Event):
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        self.resource.release(self)
+        # A holder torn down while still queued (its process closed
+        # mid-wait) withdraws the request: it holds nothing to release.
+        if self.triggered:
+            self.resource.release(self)
+        else:
+            self.cancel()
 
     def cancel(self) -> None:
         """Withdraw a not-yet-granted request."""

@@ -27,10 +27,10 @@ num_devices=N))`` run at ``places=P, num_devices=N`` produces
 bit-identical elapsed times to the original app (held by
 ``tests/workload/test_ports.py``).  MatMul and Cholesky deduplicate
 uploads per *device*, so their multi-device ports take the device of
-each tile's stream from the run's device-major layout (that of
-:func:`~repro.engine.analytic.stream_geometry`), and their upload op
-names carry the device.  On one device, and for the other four apps,
-``places`` and ``num_devices`` change nothing.
+each tile's stream from the run's device-major place layout
+(:func:`~repro.device.platform.place_layout`, the runtime's own), and
+their upload op names carry the device.  On one device, and for the
+other four apps, ``places`` and ``num_devices`` change nothing.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from repro.apps.kmeans_app import KmeansApp
 from repro.apps.matmul_app import MatMulApp
 from repro.apps.nn_app import NNApp
 from repro.apps.srad_app import SradApp
-from repro.engine.analytic import stream_geometry
+from repro.device.platform import place_layout
 from repro.errors import ConfigurationError
 from repro.kernels.cholesky import (
     gemm_update_work,
@@ -444,13 +444,11 @@ def workload_of(app, places: int = 1, num_devices: int = 1) -> WorkloadSpec:
     port = _port(app)
     devices = None
     if num_devices != 1:
-        if not 1 <= num_devices <= places:
-            raise ConfigurationError(
-                f"cannot lay {places} place(s) over {num_devices} "
-                f"device(s): need at least one place per device"
-            )
-        geometry = stream_geometry(places, num_devices, app.spec)
-        devices = geometry.device.tolist()
+        devices = [
+            card
+            for card, count in enumerate(place_layout(places, num_devices))
+            for _ in range(count)
+        ]
     if port is None:
         return app.workload
     shape, numbers = port_parts(app)

@@ -61,16 +61,19 @@ class TestSerialLink:
         )
         assert makespan == pytest.approx(1e-3)
 
-    def test_log_records_direction_and_size(self):
+    def test_transfer_returns_its_occupancy(self):
+        # Each transfer process returns its (start, end) on the lane;
+        # time spent queueing behind the other direction is excluded.
         spec = LinkSpec(bandwidth=1e9, latency=0.0)
-        _, link = run_transfers(
-            spec, [(TransferDirection.D2H, 500, 0.0)]
-        )
-        assert len(link.log) == 1
-        start, end, direction, nbytes = link.log[0]
-        assert direction is TransferDirection.D2H
-        assert nbytes == 500
-        assert end > start
+        env = Environment()
+        link = PcieLink(env, spec)
+        first = env.process(link.transfer(TransferDirection.H2D, 1000))
+        second = env.process(link.transfer(TransferDirection.D2H, 500))
+        env.run()
+        assert first.value == (0.0, spec.transfer_time(1000))
+        start, end = second.value
+        assert start == spec.transfer_time(1000)
+        assert end - start == pytest.approx(spec.transfer_time(500))
 
     def test_fig5_cc_anchor(self):
         # 16 blocks out + 16 blocks back ~ 5.2 ms on the paper's machine.

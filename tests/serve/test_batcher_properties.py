@@ -152,7 +152,7 @@ class BatcherMachine(RuleBasedStateMachine):
     @rule(pick=st.integers(0, 7))
     def complete(self, pick):
         batch = self.in_flight.pop(pick % len(self.in_flight))
-        batch.resolve(answers(batch.specs))
+        batch.settle([answers(ticket.specs) for ticket in batch.tickets])
         self.batcher.complete(batch)
 
     @rule(dt=st.floats(0.0, 2 * WINDOW))

@@ -179,7 +179,8 @@ class TestCoalescing:
         t2 = b.submit("predict", [mm_spec(2)], now=0.0)
         batches, _ = b.poll(0.0)
         (batch,) = batches
-        batch.resolve(["r1", "r2"])
+        results = ["r1", "r2"]
+        batch.settle([results[sl] for _, sl in batch.slices])
         assert t1.results == ["r1"]
         assert t2.results == ["r2"]
 
@@ -205,7 +206,7 @@ class TestDeadlines:
         assert doomed.error.reason == SHED_DEADLINE
         assert len(batches) == 1
         assert batches[0].tickets == [alive]
-        batches[0].resolve(["ok"])
+        batches[0].settle([["ok"]])
         assert alive.results == ["ok"]
 
     def test_deadline_sheds_before_window_closes(self):
@@ -271,7 +272,7 @@ class TestDrain:
         batches, _ = b.poll(1.0)
         assert len(batches) == 1
         assert not b.idle(), "in-flight batch keeps the batcher busy"
-        batches[0].resolve(["ok"])
+        batches[0].settle([["ok"]])
         b.complete(batches[0])
         assert b.idle()
         assert t.results == ["ok"]

@@ -18,7 +18,7 @@ import pytest
 
 from repro.errors import ConfigurationError, DeviceMemoryError
 from repro.metrics.registry import scoped_registry
-from repro.serve import PredictionService, ServeConfig
+from repro.serve import PredictionBackend, PredictionService, ServeConfig
 from repro.serve.api import parse_predict
 from repro.serve.http import HttpConfig, handle_request, serve_http
 
@@ -243,6 +243,74 @@ class TestStatusMapping:
             assert "device memory" in body["error"]
 
         with_service(scenario)
+
+
+def with_hybrid_backend(test):
+    """Run ``test(service)`` against a real hybrid backend."""
+
+    async def scenario():
+        service = PredictionService(
+            PredictionBackend(engine="hybrid"), ServeConfig(batch_window=0.0)
+        )
+        await service.start()
+        try:
+            await test(service)
+        finally:
+            await service.stop()
+
+    asyncio.run(scenario())
+
+
+class TestEvaluationErrors:
+    """Points the request makes impossible are the client's fault, and
+    fail only their own request."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"app": "mm", "P": 225},  # past the card's 224 threads
+            {"app": "mm", "P": 4, "T": 5},  # not a square tiling
+            {"app": "mm", "P": 4, "D": 6001},  # D off the tile grid
+            {"app": "nn", "P": 4, "T": 10**8},  # more tiles than records
+        ],
+    )
+    def test_infeasible_geometry_400(self, payload):
+        async def scenario(service):
+            status, body = await handle_request(
+                service, "POST", "/predict", payload
+            )
+            assert status == 400
+            assert body["error"]
+
+        with_hybrid_backend(scenario)
+
+    def test_over_capacity_point_fails_alone_422(self):
+        async def scenario(service):
+            batches = []
+            evaluate = service.dispatch
+
+            def recording(specs):
+                batches.append(len(specs))
+                return evaluate(specs)
+
+            service.dispatch = recording
+            big, fits = await asyncio.gather(
+                handle_request(
+                    service, "POST", "/predict",
+                    {"app": "mm", "P": 4, "T": 64, "D": 40000},
+                ),
+                handle_request(
+                    service, "POST", "/predict",
+                    {"app": "mm", "P": 4, "T": 64, "D": 6000},
+                ),
+            )
+            assert batches == [2, 1, 1], "one batch, then each alone"
+            assert big[0] == 422
+            assert "device memory" in big[1]["error"]
+            assert fits[0] == 200
+            assert fits[1]["P"] == 4 and fits[1]["elapsed_seconds"] > 0
+
+        with_hybrid_backend(scenario)
 
 
 @asynccontextmanager

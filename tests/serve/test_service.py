@@ -10,8 +10,11 @@ import threading
 import pytest
 
 from repro.apps import MatMulApp
+from repro.errors import TopologyError
 from repro.metrics.registry import scoped_registry
 from repro.parallel import RunSpec
+from repro.serve.api import APP_PROFILES
+from repro.serve.backend import PredictionBackend
 from repro.serve.core import SHED_DEADLINE, ServeConfig, Shed
 from repro.serve.service import PredictionService, SyncDriver
 
@@ -94,6 +97,43 @@ class TestSyncDriver:
         t = driver.submit("predict", [mm_spec()])
         driver.pump()
         assert t.done and isinstance(t.error, RuntimeError)
+
+    def test_failed_batch_is_dispatched_again_ticket_by_ticket(self):
+        def engine(specs):
+            engine.batches.append([spec.places for spec in specs])
+            if any(spec.places == 300 for spec in specs):
+                raise RuntimeError("bad point")
+            return [float(spec.places) for spec in specs]
+
+        engine.batches = []
+        driver = SyncDriver(engine, ServeConfig(batch_window=0.0))
+        ok4, bad, ok8 = [
+            driver.submit("predict", [mm_spec(p)]) for p in (4, 300, 8)
+        ]
+        assert driver.pump() == 1
+        assert engine.batches == [[4, 300, 8], [4], [300], [8]]
+        assert ok4.results == [4.0] and ok4.error is None
+        assert ok8.results == [8.0] and ok8.error is None
+        assert bad.results is None and isinstance(bad.error, RuntimeError)
+
+    def test_infeasible_point_fails_only_its_own_ticket(self):
+        """On the hybrid backend, mm at P=300 (past the card's 224
+        threads) coalesced with P=4 and P=8 fails alone."""
+        backend = PredictionBackend(engine="hybrid")
+        driver = SyncDriver(
+            backend.evaluate, ServeConfig(batch_window=0.0), backend=backend
+        )
+        mm = APP_PROFILES["mm"]
+        ok4, bad, ok8 = [
+            driver.submit("predict", [mm.spec(p, None, None)])
+            for p in (4, 300, 8)
+        ]
+        assert driver.pump() == 1
+        assert isinstance(bad.error, TopologyError)
+        for ticket, places in ((ok4, 4), (ok8, 8)):
+            assert ticket.error is None
+            (run,) = ticket.results
+            assert run.places == places and run.elapsed > 0
 
     def test_latency_metrics_on_virtual_clock(self):
         with scoped_registry() as registry:

@@ -114,6 +114,26 @@ class TestResource:
         assert res.count == 0
         assert res.queued == 0
 
+    def test_holder_closed_while_queued_withdraws_its_request(self):
+        # A process torn down mid-wait (a run abandoned with a transfer
+        # still queued for the link) leaves nothing behind in the queue.
+        env = Environment()
+        res = Resource(env)
+        first = res.request()
+
+        def waiter():
+            with res.request() as req:
+                yield req
+
+        gen = waiter()
+        queued = next(gen)
+        gen.close()
+        assert queued.triggered and not queued.ok
+        res.release(first)
+        assert res.count == 0
+        later = res.request()
+        assert later.triggered and res.count == 1
+
     def test_cancel_granted_request_raises(self):
         env = Environment()
         res = Resource(env)
