@@ -4,7 +4,9 @@
 Boots the real server as a subprocess on an ephemeral port, waits for
 the ready line, checks ``/healthz``, sends one infeasible ``/predict``
 (mm at P=225, past the card's 224 threads), which must answer 400 with
-an ``error`` body, then answers one ``/predict``, one ``/sweep`` and one
+an ``error`` body, and one over-capacity ``/predict`` (mm at D=40000,
+whose tile buffers overflow the card), which must answer 422 with an
+``error`` body, then answers one ``/predict``, one ``/sweep`` and one
 *streamed* ``/sweep`` request over actual HTTP, then asks for a
 graceful shutdown (SIGTERM) and verifies the process drains and exits
 cleanly.
@@ -177,6 +179,19 @@ def main() -> int:
                 f"{status} {refused}"
             )
         print(f"infeasible predict ok: mm P=225 -> 400 ({refused['error']})")
+
+        status, refused = post_status(
+            base, "/predict", {"app": "mm", "P": 4, "T": 64, "D": 40000}
+        )
+        if status != 422 or not refused.get("error"):
+            raise SystemExit(
+                f"over-capacity predict: want 422 with an error, got "
+                f"{status} {refused}"
+            )
+        print(
+            f"over-capacity predict ok: mm D=40000 -> 422 "
+            f"({refused['error']})"
+        )
 
         point = post(base, "/predict", {"app": "mm", "P": 14})
         if point.get("P") != 14 or point.get("elapsed_seconds", 0) <= 0:

@@ -73,11 +73,15 @@ def run_search(
     In spec-based mode, ``engine="model"`` or ``"hybrid"`` prunes the
     search: the whole space is *ranked* by the analytic model (see
     :mod:`repro.engine`) and only the ``verify_top_k`` best-ranked
-    configurations are simulated, so ``evaluations`` counts simulator
-    runs and :meth:`SearchOutcome.reduction_vs` against an exhaustive
-    search reflects the pruning.  The returned best is always taken from
-    the *simulated* candidates.  A space the model cannot rank falls
-    back to the exhaustive simulation under ``"hybrid"`` and raises
+    configurations are verified through ``executor``, so
+    ``evaluations`` counts verified configurations and
+    :meth:`SearchOutcome.reduction_vs` against an exhaustive search
+    reflects the pruning.  The executor's engine answers each one: the
+    default executor's DES runs it, while a hybrid executor whose store
+    already certifies the family answers it from the model, with no DES
+    run.  The returned best is always taken from the *verified*
+    candidates.  A space the model cannot rank falls back to the
+    exhaustive sweep through ``executor`` under ``"hybrid"`` and raises
     :class:`~repro.errors.ModelUnsupportedError` under ``"model"``.
 
     ``engine="learned"`` goes further: the corpus-trained tier (see
@@ -157,8 +161,8 @@ def _pruned_search(
 ) -> SearchOutcome:
     """Model-ranked search: predict everything (one grid evaluation —
     the whole config space is scored as arrays, see
-    :mod:`repro.engine.grid`), simulate only the ``verify_top_k`` most
-    promising configurations."""
+    :mod:`repro.engine.grid`), verify only the ``verify_top_k`` most
+    promising configurations through the executor's engine."""
     from repro.engine.grid import predict_runs
     from repro.errors import ModelUnsupportedError
 

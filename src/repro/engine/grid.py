@@ -938,7 +938,7 @@ def _compile_family(spec0: "RunSpec") -> _CompiledFamily:
 
 def _compiled_for(spec: "RunSpec") -> _CompiledFamily:
     """``spec``'s compiled family (cached), or the family's
-    :class:`ModelUnsupportedError` (cached too)."""
+    :class:`ModelUnsupportedError` (cached too, re-raised with its cause)."""
     try:
         key = _family_key(spec)
         found = _FAMILIES.get(key)
@@ -955,7 +955,7 @@ def _compiled_for(spec: "RunSpec") -> _CompiledFamily:
     else:
         _FAMILIES.move_to_end(key)
     if isinstance(found, ModelUnsupportedError):
-        raise ModelUnsupportedError(str(found))
+        raise ModelUnsupportedError(str(found)) from found.__cause__
     return found
 
 

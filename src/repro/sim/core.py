@@ -14,8 +14,8 @@ from typing import Any
 from repro.errors import SimulationError
 
 #: Scheduling priorities.  ``URGENT`` events at time *t* run before
-#: ``NORMAL`` events at the same *t* — used internally so resource
-#: bookkeeping happens before user processes resume.
+#: ``NORMAL`` events at the same *t*: a new process's first step and a
+#: withdrawn resource request are urgent, everything else is normal.
 URGENT: int = 0
 NORMAL: int = 1
 
@@ -27,16 +27,9 @@ class EventAlreadyTriggered(SimulationError):
     """An event was succeeded/failed more than once."""
 
 
-class EmptySchedule(SimulationError):
-    """``run()`` was asked to advance but no events remain."""
-
-
 class StopSimulation(Exception):
-    """Internal control-flow exception that ends :meth:`Environment.run`."""
-
-    def __init__(self, value: Any) -> None:
-        super().__init__(value)
-        self.value = value
+    """Internal control-flow exception that ends :meth:`Environment.run`;
+    its one argument is the ``until`` event."""
 
 
 class Event:
@@ -104,7 +97,7 @@ class Event:
         """Trigger the event as failed with ``exception``.
 
         If no waiter handles (defuses) the failure, the exception is
-        re-raised out of :meth:`Environment.step` to surface the bug.
+        re-raised out of :meth:`Environment.run` to surface the bug.
         """
         if not isinstance(exception, BaseException):
             raise TypeError(f"fail() needs an exception, got {exception!r}")
@@ -115,31 +108,15 @@ class Event:
         self.env._schedule(self, NORMAL, 0.0)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Copy the outcome of ``event`` onto this event (callback helper)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            event._defused = True
-            self.fail(event._value)
-
     def defused(self) -> None:
         """Mark a failed event as handled so it will not crash the run."""
         self._defused = True
-
-    # -- composition ------------------------------------------------------
-
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.env, [self, other])
-
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.env, [self, other])
 
 
 class Timeout(Event):
     """An event that fires ``delay`` time units after creation."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, env: Environment, delay: float, value: Any = None) -> None:
         if delay < 0:
@@ -152,7 +129,6 @@ class Timeout(Event):
         self._value = value
         self._ok = True
         self._defused = False
-        self.delay = delay
         heapq.heappush(
             env._queue, (env._now + delay, NORMAL, env._eid, self)
         )
@@ -169,7 +145,6 @@ class Environment:
         # Heap entries: (time, priority, sequence, event).
         self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = 0
-        self.active_process: "Process | None" = None
         # Engine totals, published to the metrics registry at the end of
         # a run (see repro.metrics.instrument.record_environment).  Kept
         # as plain ints so the hot loop pays one attribute increment,
@@ -201,10 +176,8 @@ class Environment:
         return Process(self, generator)
 
     def all_of(self, events: Iterable[Event]) -> "AllOf":
-        return AllOf(self, list(events))
-
-    def any_of(self, events: Iterable[Event]) -> "AnyOf":
-        return AnyOf(self, list(events))
+        """An event that fires once every one of ``events`` has."""
+        return AllOf(self, events)
 
     # -- scheduling --------------------------------------------------------
 
@@ -222,32 +195,6 @@ class Environment:
         if len(self._queue) > self.max_queue_depth:
             self.max_queue_depth = len(self._queue)
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none remain."""
-        return self._queue[0][0] if self._queue else float("inf")
-
-    def step(self) -> None:
-        """Process the single next event."""
-        try:
-            when, _, _, event = heapq.heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule("no events scheduled") from None
-        if when < self._now:  # pragma: no cover - defensive
-            raise SimulationError("event scheduled in the past")
-        self._now = when
-        self.events_processed += 1
-
-        callbacks, event.callbacks = event.callbacks, None
-        assert callbacks is not None
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event._defused:
-            # An un-handled failure: surface it instead of silently
-            # continuing with a broken model.
-            exc = event._value
-            raise exc
-
     def run(self, until: "float | Event | None" = None) -> Any:
         """Run until ``until``.
 
@@ -261,7 +208,9 @@ class Environment:
             pass
         elif isinstance(until, Event):
             if until.processed:
-                return until.value if until.ok else _reraise(until.value)
+                if not until.ok:
+                    raise until.value
+                return until.value
 
             def _stop(event: Event) -> None:
                 raise StopSimulation(event)
@@ -276,10 +225,10 @@ class Environment:
                     f"(now={self._now})"
                 )
 
-        # Hot path: this loop dominates every simulation, so the heap, the
-        # pop, and the per-event dispatch from step() are inlined with
-        # everything bound to locals (the list object in _queue is only
-        # ever mutated, never replaced, so the local binding stays valid).
+        # Hot path: this loop dominates every simulation, so the heap pop
+        # and the per-event dispatch are inlined with everything bound to
+        # locals (the list object in _queue is only ever mutated, never
+        # replaced, so the local binding stays valid).
         # The unbounded case (run to exhaustion / until an event, i.e.
         # stop_at == inf) additionally skips the per-event deadline check.
         queue = self._queue
@@ -315,10 +264,10 @@ class Environment:
                     if not event._ok and not event._defused:
                         raise event._value
         except StopSimulation as stop:
-            event = stop.value
+            event = stop.args[0]
             if not event.ok:
                 event.defused()
-                _reraise(event.value)
+                raise event.value
             return event.value
         finally:
             self.events_processed += processed
@@ -332,11 +281,7 @@ class Environment:
         return None
 
 
-def _reraise(exc: BaseException) -> Any:
-    raise exc
-
-
 # The event subclasses below build on this module's names, so they are
 # bound last (a call-time import would cost every process start).
 from repro.sim.process import Process  # noqa: E402
-from repro.sim.sync import AllOf, AnyOf  # noqa: E402
+from repro.sim.sync import AllOf  # noqa: E402

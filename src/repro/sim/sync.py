@@ -1,22 +1,22 @@
-"""Event composition (all-of / any-of) and barriers."""
+"""The all-of join: one event over a fixed set of child events."""
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable
 
 from repro.sim.core import Environment, Event
 
 
-class Condition(Event):
-    """Base class for composite events over a fixed set of child events.
+class AllOf(Event):
+    """Triggers once *all* child events have been processed successfully.
 
-    The condition's value is a dict mapping each *triggered* child event to
-    its value at the moment the condition fired.
+    Its value maps each child event to its value.  The first child to fail
+    fails it with that child's exception; a later failure is defused.
     """
 
     __slots__ = ("_events", "_processed_ok")
 
-    def __init__(self, env: Environment, events: Sequence[Event]) -> None:
+    def __init__(self, env: Environment, events: Iterable[Event]) -> None:
         super().__init__(env)
         self._events = list(events)
         self._processed_ok = 0
@@ -26,88 +26,19 @@ class Condition(Event):
 
         for event in self._events:
             if event.callbacks is None:
-                # Already processed before the condition was created.
-                self._absorb(event)
+                # Already processed before the join was created.
+                self._on_child(event)
             else:
                 event.callbacks.append(self._on_child)
-        if not self.triggered and self._decided():
-            self.succeed(self._collect())
+        if not self._events:
+            self.succeed({})
 
     def _on_child(self, event: Event) -> None:
-        self._absorb(event)
-        if not self.triggered and self._decided():
-            self.succeed(self._collect())
-
-    def _absorb(self, event: Event) -> None:
-        if event._ok:
-            self._processed_ok += 1
-        else:
+        if not event._ok:
             event._defused = True
             if not self.triggered:
                 self.fail(event._value)
-
-    def _collect(self) -> dict[Event, object]:
-        return {
-            e: e._value
-            for e in self._events
-            if e.callbacks is None and e._ok
-        }
-
-    def _decided(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AllOf(Condition):
-    """Triggers when *all* child events have been processed successfully."""
-
-    __slots__ = ()
-
-    def _decided(self) -> bool:
-        return self._processed_ok == len(self._events)
-
-
-class AnyOf(Condition):
-    """Triggers when *any* child event has been processed successfully."""
-
-    __slots__ = ()
-
-    def _decided(self) -> bool:
-        return self._processed_ok >= 1 or not self._events
-
-
-class Barrier:
-    """A reusable synchronisation point for ``parties`` processes.
-
-    Each participant yields :meth:`wait`; once ``parties`` waiters have
-    arrived the barrier releases them all and resets for the next round.
-    """
-
-    def __init__(self, env: Environment, parties: int) -> None:
-        if parties < 1:
-            raise ValueError(f"parties must be >= 1, got {parties}")
-        self.env = env
-        self.parties = parties
-        self._waiters: list[Event] = []
-        #: Number of completed release rounds.
-        self.generation = 0
-
-    def __repr__(self) -> str:
-        return (
-            f"<Barrier parties={self.parties} waiting={len(self._waiters)} "
-            f"generation={self.generation}>"
-        )
-
-    @property
-    def waiting(self) -> int:
-        return len(self._waiters)
-
-    def wait(self) -> Event:
-        """Arrive at the barrier; the event fires when all parties arrive."""
-        event = Event(self.env)
-        self._waiters.append(event)
-        if len(self._waiters) >= self.parties:
-            waiters, self._waiters = self._waiters, []
-            self.generation += 1
-            for waiter in waiters:
-                waiter.succeed(self.generation)
-        return event
+            return
+        self._processed_ok += 1
+        if not self.triggered and self._processed_ok == len(self._events):
+            self.succeed({e: e._value for e in self._events})

@@ -37,8 +37,9 @@ and its JSON round trip predict the same bits.
 op's stream's card, and frees none.  A spec whose reservations on any
 card exceed ``memory_bytes`` makes the DES raise ``DeviceMemoryError``,
 so the model refuses it with :class:`~repro.errors.ModelUnsupportedError`
-(:func:`check_capacity`; per dataset, :func:`check_reserved` over a
-skeleton's :func:`reservations`).
+chained from a ``DeviceMemoryError`` (:func:`check_capacity`; per
+dataset, :func:`check_reserved` over a skeleton's :func:`reservations`),
+so a caller can tell the request's fault from the model's.
 
 The differential property suite (``tests/workload``) holds the model to
 the DES: it tracks the simulated makespan within certification
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from repro.errors import ModelUnsupportedError
+from repro.errors import DeviceMemoryError, ModelUnsupportedError
 from repro.workload.spec import OpSpec, PhaseSpec, WorkloadSpec
 
 
@@ -198,10 +199,11 @@ def check_reserved(reserved: dict, nbytes, capacity: int) -> None:
         fixed, counts = reserved[dev]
         need = fixed + sum(n * (nbytes[s] or 1) for s, n in counts.items())
         if need > capacity:
-            raise ModelUnsupportedError(
+            cause = DeviceMemoryError(
                 f"workload needs {need} B on device {dev}, over its "
                 f"{capacity} B memory"
             )
+            raise ModelUnsupportedError(str(cause)) from cause
 
 
 def check_capacity(workload: WorkloadSpec, capacity: int, device) -> None:

@@ -18,6 +18,7 @@ from repro.metrics.registry import scoped_registry
 from repro.parallel import RunSpec, SweepError, SweepExecutor
 from repro.util.units import MB
 from repro.workload import OpSpec, PhaseSpec, WorkloadApp, WorkloadSpec
+from repro.workload.compile import check_capacity
 
 #: Far past the 8 GB card: its port reserves 38.4 GB of tile buffers.
 OVERSIZED = RunSpec.for_app(MatMulApp, 40000, 16, places=4)
@@ -47,6 +48,21 @@ def _spec(extra: int) -> WorkloadSpec:
 def test_over_capacity_point_is_refused_by_the_model():
     with pytest.raises(ModelUnsupportedError, match="memory"):
         OVERSIZED.predict()
+
+
+def test_capacity_refusal_is_caused_by_device_memory():
+    """The refusal chains from a ``DeviceMemoryError``, the first time
+    and when a family's cached refusal is raised again: the cause tells
+    serving that the request, not the model, is at fault."""
+    with pytest.raises(ModelUnsupportedError) as first:
+        check_capacity(_spec(1), SMALL.memory_bytes, None)
+    assert isinstance(first.value.__cause__, DeviceMemoryError)
+    clear_grid_caches()
+    for _ in range(2):  # compiles and refuses, then hits the cache
+        with pytest.raises(ModelUnsupportedError, match="memory") as info:
+            OVERSIZED.predict()
+        assert isinstance(info.value.__cause__, DeviceMemoryError)
+    clear_grid_caches()
 
 
 def test_hybrid_falls_back_to_the_des_error_as_sim_does():

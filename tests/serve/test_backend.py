@@ -152,6 +152,7 @@ class TestOverCapacity:
                         for path, fields in (
                             ("/predict", {"T": 16, "P": 4}),
                             ("/sweep", {"T": [16], "P": [4, 8]}),
+                            ("/sweep", {"T": [16], "P": [4], "stream": True}),
                             ("/autotune", {"T": [16], "P": [4, 8]}),
                         )
                     ]
@@ -160,13 +161,18 @@ class TestOverCapacity:
                     )
                 finally:
                     await service.stop()
-            assert statuses == [422, 422, 422]
+            assert statuses == [422, 422, 422, 422]
             assert status == 200 and body["elapsed_seconds"] > 0
 
         asyncio.run(scenario())
 
     def test_over_capacity_point_is_422_and_service_stays_up(self):
         self._assert_422_and_service_stays_up("hybrid")
+
+    def test_model_engine_refusal_is_422_too(self):
+        # The model refuses the point itself, without a DES run to
+        # report it; its refusal still carries the capacity cause.
+        self._assert_422_and_service_stays_up("model")
 
     def test_learned_tier_refuses_it_to_its_hybrid_fallback(self):
         self._assert_422_and_service_stays_up("learned")

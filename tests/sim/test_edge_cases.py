@@ -1,17 +1,6 @@
 """Additional edge-case tests for the DES engine."""
 
-import pytest
-
-from repro.errors import SimulationError
-from repro.sim import (
-    AnyOf,
-    Environment,
-    Event,
-    Interrupt,
-    PriorityResource,
-    Resource,
-    Store,
-)
+from repro.sim import Environment, Resource
 
 
 class TestEventEdgeCases:
@@ -20,35 +9,6 @@ class TestEventEdgeCases:
         ev = env.timeout(1.0)
         env.run()
         assert ev.callbacks is None  # documented contract
-
-    def test_trigger_copies_success(self):
-        env = Environment()
-        src = env.event().succeed("payload")
-        dst = env.event()
-        dst.trigger(src)
-        assert dst.triggered and dst.value == "payload"
-
-    def test_trigger_copies_failure_and_defuses_source(self):
-        env = Environment()
-        src = env.event()
-        src.fail(ValueError("x"))
-        dst = env.event()
-        dst.trigger(src)
-        dst.defused()
-        env.run()
-        assert not dst.ok
-
-    def test_anyof_with_failed_and_ok_children(self):
-        env = Environment()
-        ok = env.timeout(1.0, "fine")
-        bad = env.event()
-        env.timeout(2.0).callbacks.append(
-            lambda e: bad.fail(RuntimeError("late failure"))
-        )
-        cond = AnyOf(env, [ok, bad])
-        value = env.run(until=cond)
-        assert list(value.values()) == ["fine"]
-        env.run()  # the late failure is defused by the condition
 
     def test_repr_states(self):
         env = Environment()
@@ -88,27 +48,6 @@ class TestProcessEdgeCases:
         assert env.run(until=env.process(node(5))) == 6
         assert env.now == 1.0
 
-    def test_interrupting_self_via_other_process(self):
-        env = Environment()
-        log = []
-
-        def victim():
-            try:
-                yield env.timeout(10.0)
-            except Interrupt as irq:
-                log.append(irq.cause)
-            return "survived"
-
-        p = env.process(victim())
-
-        def attacker():
-            yield env.timeout(1.0)
-            p.interrupt({"reason": "test"})
-
-        env.process(attacker())
-        assert env.run(until=p) == "survived"
-        assert log == [{"reason": "test"}]
-
 
 class TestResourceEdgeCases:
     def test_release_then_regrant_same_tick(self):
@@ -126,65 +65,3 @@ class TestResourceEdgeCases:
         env.run()
         assert order == ["a", "b", "c"]
         assert env.now == 0.0  # zero-duration holds all resolve at t=0
-
-    def test_priority_ties_fall_back_to_fifo(self):
-        env = Environment()
-        res = PriorityResource(env)
-        order = []
-
-        def holder():
-            with res.request(priority=0) as req:
-                yield req
-                yield env.timeout(1.0)
-
-        def waiter(name):
-            yield env.timeout(0.1)
-            with res.request(priority=5) as req:
-                yield req
-                order.append(name)
-
-        env.process(holder())
-        for name in "xyz":
-            env.process(waiter(name))
-        env.run()
-        assert order == ["x", "y", "z"]
-
-    def test_store_fifo_of_getters(self):
-        env = Environment()
-        store = Store(env)
-        got = []
-
-        def consumer(name):
-            item = yield store.get()
-            got.append((name, item))
-
-        for name in "ab":
-            env.process(consumer(name))
-
-        def producer():
-            yield env.timeout(1.0)
-            yield store.put(1)
-            yield store.put(2)
-
-        env.process(producer())
-        env.run()
-        assert got == [("a", 1), ("b", 2)]
-
-    def test_monitor_via_observers_survives_many_cycles(self):
-        env = Environment()
-        res = Resource(env)
-        transitions = []
-        res.observers.append(
-            lambda kind, t, req: transitions.append(kind)
-        )
-
-        def cycler():
-            for _ in range(5):
-                with res.request() as req:
-                    yield req
-                    yield env.timeout(0.5)
-                yield env.timeout(0.5)
-
-        env.process(cycler())
-        env.run()
-        assert transitions == ["acquire", "release"] * 5

@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Environment, Interrupt, Process
+from repro.sim import Environment, Process
 
 
 class TestProcessBasics:
@@ -132,99 +132,6 @@ class TestProcessBasics:
             (4.0, "w1"),
             (6.0, "w2"),
         ]
-
-
-class TestInterrupt:
-    def test_interrupt_wakes_process(self):
-        env = Environment()
-
-        def victim():
-            try:
-                yield env.timeout(100.0)
-            except Interrupt as irq:
-                return f"interrupted: {irq.cause}"
-
-        p = env.process(victim())
-
-        def attacker():
-            yield env.timeout(1.0)
-            p.interrupt("preempted")
-
-        env.process(attacker())
-        assert env.run(until=p) == "interrupted: preempted"
-        assert env.now == 1.0
-
-    def test_interrupt_finished_process_raises(self):
-        env = Environment()
-
-        def quick():
-            yield env.timeout(1.0)
-
-        p = env.process(quick())
-        env.run()
-        with pytest.raises(SimulationError):
-            p.interrupt()
-
-    def test_uncaught_interrupt_fails_process(self):
-        env = Environment()
-
-        def victim():
-            yield env.timeout(100.0)
-
-        p = env.process(victim())
-
-        def attacker():
-            yield env.timeout(1.0)
-            p.interrupt("die")
-
-        env.process(attacker())
-        with pytest.raises(Interrupt):
-            env.run(until=p)
-
-    def test_interrupted_process_can_keep_working(self):
-        env = Environment()
-
-        def victim():
-            try:
-                yield env.timeout(100.0)
-            except Interrupt:
-                pass
-            yield env.timeout(2.0)
-            return env.now
-
-        p = env.process(victim())
-
-        def attacker():
-            yield env.timeout(1.0)
-            p.interrupt()
-
-        env.process(attacker())
-        assert env.run(until=p) == 3.0
-
-    def test_stale_target_does_not_double_resume(self):
-        # After an interrupt, the original timeout firing later must not
-        # resume the process a second time.
-        env = Environment()
-        resumptions = []
-
-        def victim():
-            try:
-                yield env.timeout(5.0)
-            except Interrupt:
-                resumptions.append("irq")
-            yield env.timeout(10.0)
-            resumptions.append("end")
-
-        p = env.process(victim())
-
-        def attacker():
-            yield env.timeout(1.0)
-            p.interrupt()
-
-        env.process(attacker())
-        env.run()
-        assert resumptions == ["irq", "end"]
-        assert env.now == 11.0
 
 
 class TestProcessLifetime:

@@ -59,6 +59,92 @@ def test_resource_never_exceeds_capacity(holds, capacity):
 
 
 @given(
+    holders=st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=5.0),  # arrival
+            st.floats(min_value=0.001, max_value=10.0),  # hold
+            # what a holder still queued after its patience does
+            st.sampled_from(["stay", "cancel", "close"]),
+            st.floats(min_value=0.0, max_value=5.0),  # patience
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+    capacity=st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=50, deadline=None)
+def test_resource_grants_in_request_order(holders, capacity):
+    """Requests are granted in request order, skipping each one withdrawn
+    while still queued (by ``cancel()`` or by closing its holder's
+    generator), and never more than ``capacity`` are held at once."""
+    env = Environment()
+    res = Resource(env, capacity=capacity)
+    requested, granted, withdrawn = [], [], []
+    held = [0]
+
+    def grant(i):
+        granted.append(i)
+        held[0] += 1
+        assert held[0] <= capacity
+
+    def process_holder(i, hold):
+        with res.request() as req:
+            requested.append(i)
+            yield req
+            grant(i)
+            yield env.timeout(hold)
+            held[0] -= 1
+
+    def closable_holder(i):
+        with res.request() as req:
+            requested.append(i)
+            yield req
+
+    def arrive(i, hold, fate, patience):
+        if fate == "stay":
+            env.process(process_holder(i, hold))
+            return
+        if fate == "cancel":
+            req = res.request()
+            requested.append(i)
+            withdraw = req.cancel
+
+            def release():
+                res.release(req)
+
+        else:  # driven by hand; closing it releases or withdraws
+            gen = closable_holder(i)
+            req = next(gen)
+            withdraw = release = gen.close
+
+        def on_grant(event):
+            if event.ok:
+                grant(i)
+                env.timeout(hold).callbacks.append(on_hold_end)
+
+        def on_hold_end(_):
+            held[0] -= 1
+            release()
+
+        def give_up(_):
+            if not req.triggered:
+                withdrawn.append(i)
+                withdraw()
+
+        req.callbacks.append(on_grant)
+        env.timeout(patience).callbacks.append(give_up)
+
+    for i, (at, hold, fate, patience) in enumerate(holders):
+        env.timeout(at).callbacks.append(
+            lambda _, a=(i, hold, fate, patience): arrive(*a)
+        )
+    env.run()
+    assert granted == [i for i in requested if i not in withdrawn]
+    assert held[0] == 0
+    assert res.count == 0 and res.queued == 0
+
+
+@given(
     holds=st.lists(
         st.floats(min_value=0.001, max_value=10.0), min_size=1, max_size=20
     )

@@ -1,16 +1,8 @@
-"""Unit tests for conditions, barriers, and monitors."""
+"""Unit tests for the all-of join."""
 
 import pytest
 
-from repro.sim import (
-    AllOf,
-    AnyOf,
-    Barrier,
-    BusyMonitor,
-    Environment,
-    Resource,
-    TimeSeries,
-)
+from repro.sim import AllOf, Environment
 
 
 class TestConditions:
@@ -27,14 +19,6 @@ class TestConditions:
         env.run(until=cond)
         assert env.now == 3.0
         assert sorted(cond.value.values()) == [1.0, 2.0, 3.0]
-
-    def test_anyof_fires_at_first(self):
-        env = Environment()
-        events = [env.timeout(d, value=d) for d in (5.0, 2.0, 9.0)]
-        cond = AnyOf(env, events)
-        env.run(until=cond)
-        assert env.now == 2.0
-        assert list(cond.value.values()) == [2.0]
 
     def test_allof_over_processed_events(self):
         env = Environment()
@@ -60,128 +44,3 @@ class TestConditions:
         env1, env2 = Environment(), Environment()
         with pytest.raises(ValueError):
             AllOf(env1, [env1.timeout(1.0), env2.timeout(1.0)])
-
-
-class TestBarrier:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Barrier(Environment(), parties=0)
-
-    def test_barrier_releases_all_at_last_arrival(self):
-        env = Environment()
-        barrier = Barrier(env, parties=3)
-        released = []
-
-        def worker(arrive):
-            yield env.timeout(arrive)
-            yield barrier.wait()
-            released.append(env.now)
-
-        for arrive in (1.0, 2.0, 5.0):
-            env.process(worker(arrive))
-        env.run()
-        assert released == [5.0, 5.0, 5.0]
-
-    def test_barrier_is_reusable(self):
-        env = Environment()
-        barrier = Barrier(env, parties=2)
-        rounds = []
-
-        def worker(offset):
-            for _ in range(3):
-                yield env.timeout(1.0 + offset)
-                generation = yield barrier.wait()
-                rounds.append(generation)
-
-        env.process(worker(0.0))
-        env.process(worker(0.5))
-        env.run()
-        assert rounds == [1, 1, 2, 2, 3, 3]
-        assert barrier.generation == 3
-
-
-class TestTimeSeries:
-    def test_record_and_mean(self):
-        ts = TimeSeries()
-        ts.record(0.0, 10.0)
-        ts.record(1.0, 20.0)
-        ts.record(3.0, 0.0)
-        # 10 for 1s, 20 for 2s => (10 + 40) / 3
-        assert ts.mean() == pytest.approx(50.0 / 3.0)
-
-    def test_unordered_record_rejected(self):
-        ts = TimeSeries()
-        ts.record(1.0, 0.0)
-        with pytest.raises(ValueError):
-            ts.record(0.5, 0.0)
-
-    def test_mean_needs_two_samples(self):
-        ts = TimeSeries()
-        ts.record(0.0, 1.0)
-        with pytest.raises(ValueError):
-            ts.mean()
-
-
-class TestBusyMonitor:
-    def test_tracks_single_interval(self):
-        env = Environment()
-        res = Resource(env)
-        mon = BusyMonitor(env, res)
-
-        def proc():
-            with res.request() as req:
-                yield req
-                yield env.timeout(4.0)
-
-        env.process(proc())
-        env.run()
-        assert mon.intervals == [(0.0, 4.0)]
-        assert mon.busy_time == 4.0
-
-    def test_overlapping_holders_merge(self):
-        env = Environment()
-        res = Resource(env, capacity=2)
-        mon = BusyMonitor(env, res)
-
-        def worker(start, hold):
-            yield env.timeout(start)
-            with res.request() as req:
-                yield req
-                yield env.timeout(hold)
-
-        env.process(worker(0.0, 3.0))
-        env.process(worker(1.0, 4.0))  # overlaps; merges into one interval
-        env.run()
-        assert mon.intervals == [(0.0, 5.0)]
-
-    def test_utilization(self):
-        env = Environment()
-        res = Resource(env)
-        mon = BusyMonitor(env, res)
-
-        def proc():
-            with res.request() as req:
-                yield req
-                yield env.timeout(2.0)
-            yield env.timeout(2.0)
-
-        env.process(proc())
-        env.run()
-        assert mon.utilization() == pytest.approx(0.5)
-
-    def test_finalize_closes_open_interval(self):
-        env = Environment()
-        res = Resource(env)
-        mon = BusyMonitor(env, res)
-
-        def proc():
-            req = res.request()
-            yield req
-            yield env.timeout(3.0)
-            # never released
-
-        env.process(proc())
-        env.run()
-        assert mon.intervals == []
-        mon.finalize()
-        assert mon.intervals == [(0.0, 3.0)]
