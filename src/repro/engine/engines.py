@@ -235,12 +235,16 @@ class HybridEngine:
         registry.counter("engine.calibration_points").inc(len(calib_indices))
 
         results: list = [None] * n
+        #: Per family label, the worst verdict of the batch: families
+        #: that share a label share one gauge.
+        errors: dict[str, float] = {}
         for key, members in families.items():
             if key in stored:
                 verdict = stored[key]
                 label = _family_label(specs[members[0]])
-                registry.gauge("engine.calibration_error", family=label).set(
-                    verdict.worst_error
+                errors[label] = max(
+                    errors.get(label, verdict.worst_error),
+                    verdict.worst_error,
                 )
                 if verdict.certified:
                     registry.counter("engine.families_certified").inc()
@@ -273,7 +277,7 @@ class HybridEngine:
                         }
                     )
             label = _family_label(specs[members[0]])
-            registry.gauge("engine.calibration_error", family=label).set(worst)
+            errors[label] = max(errors.get(label, worst), worst)
             if worst <= self.tolerance:
                 registry.counter("engine.families_certified").inc()
                 for i in members:
@@ -298,6 +302,8 @@ class HybridEngine:
                         calibration=tuple(spread),
                     ),
                 )
+        for label, worst in errors.items():
+            registry.gauge("engine.calibration_error", family=label).set(worst)
         registry.histogram("engine.calibration.eval_seconds").observe(
             perf_counter() - calib_t0
         )

@@ -33,8 +33,11 @@ point.
   map, each stream's card and partition (:class:`_StreamLayout`: the
   DES's own place layout and partitions), each action's dependents (its
   FIFO successor merged with its explicit dependents in ascending issue
-  order), and the initial dependency counts and ready set.  Every
-  dataset of the shape shares it (at most ``_POINT_CAP`` per lowering);
+  order), and the initial dependency counts and ready set.  A
+  *chain-form* phase (one card, no first-invocation cost, no explicit
+  deps) keeps each action's FIFO successor and predecessor instead.
+  Every dataset of the shape shares it (at most ``_POINT_CAP`` per
+  lowering);
 * :class:`_Columns` — one family's numbers on a lowering: each
   transfer's lane occupancy and each kernel's cost class.  Per point,
   :meth:`_CompiledFamily._build_point` prices every cost class once per
@@ -68,6 +71,14 @@ point.
   walk settles the phase from the same entry state.  So the heap walk
   stays the oracle: every answer is its bits.  Multi-card and
   first-invocation phases take the heap walk alone;
+* :func:`_settle_chains` — the eager settle of a chain-form phase.  With
+  no deps between streams, the link lane is all they share, so each
+  stream advances down its FIFO chain from its head and after each of
+  its lane grants, completing kernels and markers up to its next lane
+  request, with no dependency count-down.  It makes
+  :func:`_settle_eager`'s grants and refusals with the same
+  expressions, hence gives its bits; the phase's structure alone
+  selects it;
 * :class:`GridPlan` / :func:`predict_grid` — the public batch surface:
   group a heterogeneous batch into families and evaluate the whole grid.
 
@@ -126,9 +137,9 @@ _ST_SETTLE, _ST_SYNC, _ST_CLOSED = 0, 1, 2
 _SHAPE_CAP = 64
 _POINT_CAP = 128
 
-#: ``engine.grid.settles`` routes: the eager walk settled the phase, it
-#: refused and the heap walk settled it, or the heap walk alone
-#: (multi-card and first-invocation phases).
+#: ``engine.grid.settles`` routes: an eager walk (either form) settled
+#: the phase, it refused and the heap walk settled it, or the heap walk
+#: alone (multi-card and first-invocation phases).
 _SETTLE_ROUTES = ("eager", "refused", "heap")
 
 
@@ -304,15 +315,22 @@ class _SchedulePhase:
     indexes without numpy overhead (``stream`` stays an array for the
     per-family cost gather).  ``remaining`` counts one extra dependency
     for each action of ``init``, the ready set, which the evaluator
-    releases with a virtual completion before the first event."""
+    releases with a virtual completion before the first event.
+
+    A *chain-form* phase (single card, no first-invocation cost, no
+    explicit deps) keeps each action's FIFO successor and predecessor
+    (``nxt``, ``pred``; -1 at a chain's end and head) instead of
+    ``deps`` and ``remaining``, which are ``None``: each stream is one
+    chain and ``init`` holds the chain heads."""
 
     __slots__ = (
         "kind", "stream", "stream_of", "device_of", "deps", "remaining",
-        "init", "first_key",
+        "init", "first_key", "nxt", "pred",
     )
 
     def __init__(
-        self, kind, stream, device_of, deps, remaining, init, first_key
+        self, kind, stream, device_of, deps, remaining, init, first_key,
+        nxt=None, pred=None,
     ):
         self.kind = kind
         self.stream = stream
@@ -322,6 +340,8 @@ class _SchedulePhase:
         self.remaining = remaining
         self.init = init
         self.first_key = first_key
+        self.nxt = nxt
+        self.pred = pred
 
 
 class _Schedule:
@@ -345,6 +365,23 @@ class _Schedule:
             same = sorted_streams[:-1] == sorted_streams[1:]
             nxt = np.full(n, -1, dtype=np.int64)
             nxt[order[:-1][same]] = order[1:][same]
+            if not (multi or first or ph.ndeps.any()):
+                pred = np.full(n, -1, dtype=np.int64)
+                pred[order[1:][same]] = order[:-1][same]
+                self.phases.append(
+                    _SchedulePhase(
+                        ph.kind,
+                        stream,
+                        [0] * n,
+                        None,
+                        None,
+                        np.flatnonzero(pred < 0).tolist(),
+                        None,
+                        nxt.tolist(),
+                        pred.tolist(),
+                    )
+                )
+                continue
             has_pred = np.zeros(n, dtype=np.int64)
             has_pred[order[1:][same]] = 1
             remaining = ph.ndeps + has_pred
@@ -435,11 +472,17 @@ def _eval_phase(sp, laneq, cost, tails, floor, loaded, fam):
     first one popped wins, which is the processing order of their
     predecessors' completion events.  Within one completion, dependents
     activate in ascending issue index, and each activation takes the
-    next global ``seq``.  :func:`_settle_eager` reconstructs that order
-    where it can prove it and refuses where it cannot.
+    next global ``seq``.  :func:`_settle_eager` and :func:`_settle_chains`
+    reconstruct that order where they can prove it and refuse where they
+    cannot.
     """
     kinds = sp.kind
     deps = sp.deps
+    if deps is None:  # chain form: the FIFO successor is the one dependent
+        deps = [() if d < 0 else (d,) for d in sp.nxt]
+        remaining = [1] * len(deps)
+    else:
+        remaining = sp.remaining[:]
     stream_of = sp.stream_of
     device_of = sp.device_of
     first_key = sp.first_key
@@ -447,7 +490,6 @@ def _eval_phase(sp, laneq, cost, tails, floor, loaded, fam):
     lat = fam.lat
     cross_sync = fam.cross_sync
     first_extra = fam.first_extra
-    remaining = sp.remaining[:]
     pdone = [-1.0] * len(remaining)
     heap: list = []
     busy = [False] * fam.num_devices
@@ -599,15 +641,9 @@ def _settle_eager(sp, laneq, cost, tails, floor, fam):
         m, k = pop(lane)
         if m > free:  # idle lane: the first request activated wins
             if lane and lane[0][0] == m:
-                tied = [k]
-                while lane and lane[0][0] == m:
-                    tied.append(pop(lane)[1])
-                k = _first_activated(tied, kinds, pdone, act)
+                k = _pop_tie(lane, m, k, kinds, pdone, act)
                 if k is None:
                     return None
-                for y in tied:
-                    if y != k:
-                        push(lane, (m, y))
             grant = m
         elif m == free and lane and lane[0][0] == m:  # release tie
             return None
@@ -620,6 +656,98 @@ def _settle_eager(sp, laneq, cost, tails, floor, fam):
         if free > tails[s]:
             tails[s] = free
         time, dependents = free, deps[k]
+
+
+def _settle_chains(sp, laneq, cost, tails, floor, fam):
+    """:func:`_settle_eager` for a chain-form phase (no explicit deps):
+    the same grants, refusals and bits, with no dependency count-down.
+
+    Each stream is one FIFO chain, and the link lane is the only thing
+    two chains share.  So from its head, and after each of its lane
+    grants, a stream advances down its chain, completing kernels and
+    markers as they activate, until its next lane request; a request's
+    activating completion is its chain predecessor (``sp.pred``), or the
+    ready set's virtual completion for a chain head.  A stream's tail is
+    its chain's last completion: completions only grow along a chain.
+    Returns the new tails (``tails`` itself is left alone), or ``None``
+    exactly where :func:`_settle_eager` refuses.
+    """
+    kinds = sp.kind
+    nxt = sp.nxt
+    stream_of = sp.stream_of
+    dispatch = fam.dispatch
+    lat = fam.lat
+    #: Each action's activation time; a chain head keeps the virtual
+    #: completion's -1.0 (:func:`_first_activated` reads it).
+    pdone = [-1.0] * len(kinds)
+    tails = tails[:]
+    lane: list = []
+    heads = sp.init[:]
+    push = heappush
+    pop = heappop
+    free = -1.0  # the lane's last release: idle at entry
+    while True:
+        if heads:
+            d = heads.pop()
+            a = floor
+        else:
+            if not lane:
+                return tails
+            m, k = pop(lane)
+            if m > free:  # idle lane: the first request activated wins
+                if lane and lane[0][0] == m:
+                    k = _pop_tie(lane, m, k, kinds, pdone, sp.pred)
+                    if k is None:
+                        return None
+                grant = m
+            elif m == free and lane and lane[0][0] == m:  # release tie
+                return None
+            else:
+                grant = free
+            free = a = (grant + lat) + laneq[k]
+            if free <= grant:
+                return None
+            d = nxt[k]
+            if d < 0:
+                s = stream_of[k]
+                if free > tails[s]:
+                    tails[s] = free
+                continue
+            pdone[d] = free
+        # d activated at a: advance its chain to the next lane request.
+        while True:
+            ready = a + dispatch
+            if ready <= a:
+                return None
+            kd = kinds[d]
+            if kd == 1:  # transfer: request the lane
+                push(lane, (ready, d))
+                break
+            if kd == 2:  # kernel
+                ready += cost[d]
+            k = nxt[d]
+            if k < 0:
+                s = stream_of[d]
+                if ready > tails[s]:
+                    tails[s] = ready
+                break
+            pdone[k] = a = ready
+            d = k
+
+
+def _pop_tie(lane, m, k, kinds, pdone, act):
+    """Of ``k`` (just popped) and every request left in ``lane`` at the
+    same request time ``m``, the one :func:`_first_activated` picks,
+    with the others pushed back; ``None`` where it cannot decide."""
+    tied = [k]
+    while lane and lane[0][0] == m:
+        tied.append(heappop(lane)[1])
+    k = _first_activated(tied, kinds, pdone, act)
+    if k is not None:
+        for y in tied:
+            if y != k:
+                heappush(lane, (m, y))
+    return k
 
 
 def _first_activated(tied, kinds, pdone, act):
@@ -762,7 +890,8 @@ class _CompiledFamily:
             if op == _ST_SETTLE:
                 sp, lq, cs = phases[arg], laneq[arg], cost[arg]
                 if eager:
-                    settled = _settle_eager(sp, lq, cs, tails, floor, self)
+                    walk = _settle_eager if sp.nxt is None else _settle_chains
+                    settled = walk(sp, lq, cs, tails, floor, self)
                     if settled is not None:
                         tails = settled
                         settles[0] += 1
@@ -802,11 +931,12 @@ class _CompiledFamily:
 # -- lowering (module-level caches) -------------------------------------------
 
 #: family key -> _CompiledFamily, or the ModelUnsupportedError that
-#: refused it.
+#: refused it.  The bound keeps a tuning loop's hot families compiled
+#: between the one-off datasets it sees.
 _FAMILIES: "OrderedDict[tuple, _CompiledFamily | ModelUnsupportedError]" = (
     OrderedDict()
 )
-_FAMILY_CAP = 64
+_FAMILY_CAP = 128
 
 #: shape key -> the _Lowering every dataset of that shape shares.
 _SHAPES: "OrderedDict[tuple, _Lowering]" = OrderedDict()

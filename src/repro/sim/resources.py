@@ -31,10 +31,11 @@ class Request(Event):
     def __exit__(self, *exc_info: object) -> None:
         # A holder torn down while still queued (its process closed
         # mid-wait) withdraws the request: it holds nothing to release.
-        if self.triggered:
-            self.resource.release(self)
-        else:
+        # A withdrawn request (triggered, failed) holds nothing either.
+        if not self.triggered:
             self.cancel()
+        elif self._ok:
+            self.resource.release(self)
 
     def cancel(self) -> None:
         """Withdraw a not-yet-granted request."""
@@ -66,11 +67,13 @@ class Resource:
         #: Waiting requests in request order; a withdrawn one stays
         #: until it reaches the front, where it is skipped.
         self._waiting: deque[Request] = deque()
+        #: Withdrawn requests still in ``_waiting``.
+        self._withdrawn = 0
 
     def __repr__(self) -> str:
         return (
             f"<Resource capacity={self.capacity} "
-            f"users={len(self.users)} queued={len(self._waiting)}>"
+            f"users={len(self.users)} queued={self.queued}>"
         )
 
     @property
@@ -81,7 +84,7 @@ class Resource:
     @property
     def queued(self) -> int:
         """Number of requests waiting for the resource."""
-        return len(self._waiting)
+        return len(self._waiting) - self._withdrawn
 
     def request(self) -> Request:
         """Claim one unit.  The returned event triggers when granted."""
@@ -108,6 +111,7 @@ class Resource:
         while waiting and len(self.users) < self.capacity:
             request = waiting.popleft()
             if request.triggered:  # cancelled
+                self._withdrawn -= 1
                 continue
             self.users.append(request)
             request.succeed()
@@ -125,6 +129,7 @@ class Resource:
         if request.triggered:
             raise SimulationError("cannot cancel a granted request; release it")
         # Mark cancelled by failing it defused; _grant() skips it.
+        self._withdrawn += 1
         request._ok = False
         request._value = SimulationError("request cancelled")
         request._defused = True

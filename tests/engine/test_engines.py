@@ -129,6 +129,45 @@ class TestHybridEngine:
             "engine.calibration_error", family="matmulapp-d1-s1"
         ) == pytest.approx(0.5, rel=1e-6)
 
+    def test_calibration_error_reports_the_worst_family_of_a_label(
+        self, monkeypatch
+    ):
+        # Two scenario families share one gauge label; the worse one is
+        # calibrated first, and the later one must not overwrite it.
+        from pathlib import Path
+
+        from repro.engine import grid
+        from repro.workload import WorkloadSpec
+
+        scenarios = Path(__file__).parent.parent / "data" / "scenarios"
+        workloads = [
+            WorkloadSpec.from_json(
+                (scenarios / f"balanced-0-{i}.json").read_text()
+            )
+            for i in (0, 1)
+        ]
+        skew = {workloads[0].name: 1.5, workloads[1].name: 1.1}
+        real_evaluate = grid._CompiledFamily.evaluate
+
+        def skewed_evaluate(self, places):
+            return real_evaluate(self, places) * skew[self.app.workload.name]
+
+        monkeypatch.setattr(
+            grid._CompiledFamily, "evaluate", skewed_evaluate
+        )
+        specs = [
+            RunSpec.for_workload(w, places=p)
+            for w in workloads
+            for p in (1, 2, 4)
+        ]
+        with scoped_registry() as registry:
+            SweepExecutor(jobs=1, engine=HybridEngine()).map(specs)
+            snapshot = registry.snapshot()
+        assert snapshot.counter_value("engine.families_fallback") == 2
+        assert snapshot.gauge_value(
+            "engine.calibration_error", family="workloadapp-d1-s1"
+        ) == pytest.approx(0.5, rel=1e-6)
+
     def test_model_results_never_enter_cache(self):
         cache = SimulationCache()
         specs = _mm_specs()

@@ -3,12 +3,14 @@
 ``grid._settle_eager`` settles a single-card phase ordering only the
 link lane, and refuses wherever it cannot prove ``grid._eval_phase``'s
 grant order; ``_eval_phase`` then settles the phase from the same entry
-state.  These tests wrap the eager walk so that every phase it sees is
-also settled by the heap walk, and demand the same per-stream tails,
-compared with ``float.hex``, wherever the eager walk does not refuse.
-The deterministic cases pin the tie-breaks and refusals of the
-exactness rule (``docs/PERF.md``, *Vectorized grid path*), and the
-route counter that reports them.
+state.  A phase with no explicit deps takes the chain form,
+``grid._settle_chains``, which must give ``_settle_eager``'s result on
+the same phase: the same refusal or the same bits.  These tests wrap
+both walks so that every phase they see is also settled by the heap
+walk, and demand the same per-stream tails, compared with ``float.hex``,
+wherever the walk does not refuse.  The deterministic cases pin the
+tie-breaks and refusals of the exactness rule (``docs/PERF.md``,
+*Vectorized grid path*), and the route counter that reports them.
 """
 
 from __future__ import annotations
@@ -21,14 +23,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps import CholeskyApp, MatMulApp, NNApp
+from repro.apps import CholeskyApp, HotspotApp, MatMulApp, NNApp
 from repro.device.spec import PHI_31SP, RuntimeOverheads
 from repro.engine import grid, predict_runs
 from repro.engine.grid import clear_grid_caches
 from repro.errors import ModelUnsupportedError
 from repro.metrics.registry import scoped_registry
 from repro.parallel import RunSpec
-from tests.strategies import ONE_CARD_SPEC_STRATEGIES, workload_run_specs
+from repro.workload import PhaseSpec, WorkloadSpec
+from tests.strategies import (
+    ONE_CARD_SPEC_STRATEGIES,
+    places,
+    workload_run_specs,
+    workload_specs,
+)
 
 #: The default card, one whose dispatch costs nothing, and one whose
 #: link has no setup latency: the last two remove the progress the
@@ -50,23 +58,53 @@ def _on(spec: RunSpec, device) -> RunSpec:
     return replace(spec, app_kwargs=tuple(sorted(kwargs.items())))
 
 
+def _dep_form(sp):
+    """A chain-form phase in the form ``_settle_eager`` walks: each
+    action's FIFO successor as its one dependent."""
+    return grid._SchedulePhase(
+        sp.kind,
+        sp.stream,
+        sp.device_of,
+        [() if d < 0 else (d,) for d in sp.nxt],
+        [1] * len(sp.nxt),
+        sp.init,
+        None,
+    )
+
+
 class Walks:
-    """Every phase the eager walk was offered at one point: its tails
-    (``None`` where it refused) beside the heap walk's, and every
-    idle-lane tie it met, as ``(tied, winner, activating completions)``
-    (winner ``None`` where it refused)."""
+    """Every phase an eager walk was offered at one point: its tails
+    (``None`` where it refused) beside the heap walk's; for each
+    chain-form phase, the chain walk's result beside ``_settle_eager``'s
+    on the same phase; and every idle-lane tie either walk met, as
+    ``(tied, winner, activating completions)`` (winner ``None`` where it
+    refused)."""
 
     def __init__(self, monkeypatch):
         self.phases: list = []
+        self.forms: list = []
         self.ties: list = []
-        eager, first = grid._settle_eager, grid._first_activated
+        eager, chains = grid._settle_eager, grid._settle_chains
+        first = grid._first_activated
 
-        def both(sp, laneq, cost, tails, floor, fam):
+        def both(walk, sp, laneq, cost, tails, floor, fam):
             entry = tails[:]
-            out = eager(sp, laneq, cost, tails, floor, fam)
+            out = walk(sp, laneq, cost, tails, floor, fam)
             assert tails == entry, "the eager walk wrote its entry tails"
             grid._eval_phase(sp, laneq, cost, entry, floor, None, fam)
             self.phases.append((out, entry))
+            return out
+
+        def on_deps(sp, laneq, cost, tails, floor, fam):
+            assert sp.nxt is None
+            return both(eager, sp, laneq, cost, tails, floor, fam)
+
+        def on_chains(sp, laneq, cost, tails, floor, fam):
+            assert sp.deps is None
+            out = both(chains, sp, laneq, cost, tails, floor, fam)
+            self.forms.append(
+                (out, eager(_dep_form(sp), laneq, cost, tails, floor, fam))
+            )
             return out
 
         def record(tied, kinds, pdone, act):
@@ -74,7 +112,8 @@ class Walks:
             self.ties.append((list(tied), k, [act[x] for x in tied]))
             return k
 
-        monkeypatch.setattr(grid, "_settle_eager", both)
+        monkeypatch.setattr(grid, "_settle_eager", on_deps)
+        monkeypatch.setattr(grid, "_settle_chains", on_chains)
         monkeypatch.setattr(grid, "_first_activated", record)
 
     def point(self, spec: RunSpec) -> float:
@@ -86,12 +125,22 @@ class Walks:
         return sum(out is None for out, _ in self.phases)
 
     def mismatches(self) -> list:
+        """Phases whose walk disagrees with the heap walk, and chain-form
+        phases whose two walks disagree."""
         return [
             (i, out, heap)
             for i, (out, heap) in enumerate(self.phases)
-            if out is not None
-            and [t.hex() for t in out] != [t.hex() for t in heap]
+            if out is not None and _hex(out) != _hex(heap)
+        ] + [
+            (i, out, via_deps)
+            for i, (out, via_deps) in enumerate(self.forms)
+            if (out is None) != (via_deps is None)
+            or out is not None and _hex(out) != _hex(via_deps)
         ]
+
+
+def _hex(tails) -> list:
+    return [t.hex() for t in tails]
 
 
 @pytest.fixture
@@ -119,6 +168,50 @@ def test_eager_walk_refuses_or_equals_the_heap_walk(spec, device):
             walks.point(_on(spec, DEVICES[device]))
         except ModelUnsupportedError:
             pass
+        assert not walks.mismatches()
+        if device == "dispatch0":
+            assert walks.refused == len(walks.phases)
+    clear_grid_caches()
+
+
+def _without_deps(workload: WorkloadSpec) -> WorkloadSpec:
+    return WorkloadSpec(
+        name=workload.name,
+        kernels=workload.kernels,
+        phases=tuple(
+            PhaseSpec(
+                ops=tuple(replace(op, deps=()) for op in phase.ops),
+                sync=phase.sync,
+                repeat=phase.repeat,
+            )
+            for phase in workload.phases
+        ),
+    )
+
+
+#: Single-card specs whose phases have no explicit deps: NN, Kmeans,
+#: Hotspot and SRAD, and scenarios with their deps dropped.
+DEP_FREE_SPECS = st.one_of(
+    *ONE_CARD_SPEC_STRATEGIES[1:5],
+    st.builds(
+        lambda w, p: RunSpec.for_workload(_without_deps(w), places=p),
+        workload_specs(),
+        places,
+    ),
+)
+
+
+@settings(deadline=None)
+@given(spec=DEP_FREE_SPECS, device=st.sampled_from(sorted(DEVICES)))
+def test_chain_form_equals_the_eager_and_heap_walks(spec, device):
+    with pytest.MonkeyPatch.context() as patch:
+        walks = Walks(patch)
+        try:
+            walks.point(_on(spec, DEVICES[device]))
+        except ModelUnsupportedError:
+            pass
+        # Every settled phase took the chain form.
+        assert len(walks.forms) == len(walks.phases)
         assert not walks.mismatches()
         if device == "dispatch0":
             assert walks.refused == len(walks.phases)
@@ -174,6 +267,55 @@ def test_no_dispatch_progress_refuses(walks):
     assert walks.phases and walks.refused == len(walks.phases)
 
 
+@pytest.mark.parametrize(
+    "cls, d, t, p, kwargs, chained",
+    [
+        (NNApp, 20000, 16, 4, {}, True),
+        (HotspotApp, 256, 8, 4, {"iterations": 3}, True),
+        (MatMulApp, 600, 16, 4, {}, False),
+        (CholeskyApp, 720, 9, 4, {}, False),
+    ],
+)
+def test_the_phase_structure_selects_the_walk(
+    walks, cls, d, t, p, kwargs, chained
+):
+    # The chain form takes exactly the phases without explicit deps.
+    walks.point(RunSpec.for_app(cls, d, t, places=p, **kwargs))
+    assert walks.phases and walks.refused == 0 and not walks.mismatches()
+    assert len(walks.forms) == (len(walks.phases) if chained else 0)
+
+
+def test_a_refused_chain_phase_settles_on_the_heap_walk(monkeypatch):
+    # The heap walk rebuilds the chain form's dependents for a phase the
+    # chain walk refused, and lands on the answer the eager walk gives.
+    spec = _app(NNApp, 20000, 16, 4)
+    clear_grid_caches()
+    expected = spec.predict().elapsed
+    monkeypatch.setattr(grid, "_settle_chains", lambda *args: None)
+    clear_grid_caches()
+    with scoped_registry() as registry:
+        assert predict_runs([spec])[0].elapsed.hex() == expected.hex()
+        snapshot = registry.snapshot()
+    clear_grid_caches()
+    assert snapshot.counter_value("engine.grid.settles", route="refused") >= 1
+    assert snapshot.counter_value("engine.grid.settles", route="eager") == 0
+
+
+def _chained(kinds, streams):
+    """A chain-form phase: one action per entry, in issue order."""
+    n = len(kinds)
+    nxt, pred, last = [-1] * n, [-1] * n, {}
+    for k, s in enumerate(streams):
+        if s in last:
+            nxt[last[s]], pred[k] = k, last[s]
+        last[s] = k
+    heads = [k for k in range(n) if pred[k] < 0]
+    stream = np.array(streams, dtype=np.int64)
+    return grid._SchedulePhase(
+        list(kinds), stream, [0] * n, None, None, heads, None, nxt, pred
+    )
+
+
 def test_a_release_at_its_grant_refuses():
     # One upload on a link with no latency: with nothing to move, the
     # lane would be released at its grant.
@@ -181,10 +323,51 @@ def test_a_release_at_its_grant_refuses():
         [1], np.zeros(1, dtype=np.int64), [0], [()], [1], [0], None
     )
     link = SimpleNamespace(dispatch=4e-6, lat=0.0)
-    assert grid._settle_eager(upload, [0.0], [0.0], [0.0], 0.0, link) is None
-    assert grid._settle_eager(upload, [1e-3], [0.0], [0.0], 0.0, link) == [
-        4e-6 + 1e-3
-    ]
+    for walk, sp in [
+        (grid._settle_eager, upload),
+        (grid._settle_chains, _chained([1], [0])),
+    ]:
+        assert walk(sp, [0.0], [0.0], [0.0], 0.0, link) is None
+        assert walk(sp, [1e-3], [0.0], [0.0], 0.0, link) == [4e-6 + 1e-3]
+
+
+#: A card whose times stay exact in binary: every sum below is exact,
+#: so requests tie by construction.
+EXACT = SimpleNamespace(
+    dispatch=1.0, lat=1.0, cross_sync=0.0, first_extra=0.0, num_devices=1
+)
+
+
+def _settle_exact(form, sp, laneq, cost):
+    """``sp`` (chain form) settled on the ``EXACT`` card by the chain
+    walk, or by ``_settle_eager`` on its dependency form."""
+    tails = [0.0] * (max(sp.stream_of) + 1)
+    walk = grid._settle_chains
+    if form == "deps":
+        sp, walk = _dep_form(sp), grid._settle_eager
+    return walk(sp, laneq, cost, tails, 0.0, EXACT)
+
+
+@pytest.mark.parametrize("form", ["chains", "deps"])
+def test_an_idle_lane_tie_goes_to_the_first_activated(form):
+    # Two kernels finish at one time, each releasing its stream's upload
+    # to the idle lane at t=3; the heap walk activated the kernel issued
+    # first (action 0, stream 1), so upload 3 goes before upload 2.
+    sp = _chained([2, 2, 1, 1], [1, 0, 0, 1])
+    laneq, cost = [0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0]
+    heap = [0.0, 0.0]
+    grid._eval_phase(sp, laneq, cost, heap, 0.0, None, EXACT)
+    assert heap == [7.0, 5.0]
+    assert _settle_exact(form, sp, laneq, cost) == heap
+
+
+@pytest.mark.parametrize("form", ["chains", "deps"])
+def test_two_requests_at_the_lane_release_refuse(form):
+    # Upload 0 holds the lane over [1, 3]; uploads 3 and 4 both request
+    # it at exactly 3.
+    sp = _chained([1, 2, 2, 1, 1], [0, 1, 2, 1, 2])
+    laneq, cost = [1.0, 0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 0.0, 0.0]
+    assert _settle_exact(form, sp, laneq, cost) is None
 
 
 # -- engine.grid.settles -----------------------------------------------------

@@ -114,6 +114,34 @@ class TestResource:
         assert res.count == 0
         assert res.queued == 0
 
+    def test_withdrawn_request_is_neither_queued_nor_released(self):
+        # A waiter whose queued request is withdrawn sees the withdrawal,
+        # and its ``with`` block releases nothing on the way out.
+        env = Environment()
+        res = Resource(env)
+        holder = res.request()
+        requests, errors = [], []
+
+        def waiter():
+            try:
+                with res.request() as req:
+                    requests.append(req)
+                    yield req
+            except SimulationError as exc:
+                errors.append(str(exc))
+
+        env.process(waiter())
+        env.run(until=1.0)
+        assert res.queued == 1
+        requests[0].cancel()
+        assert res.queued == 0
+        env.run()
+        assert errors == ["request cancelled"]
+        assert res.users == [holder] and res.queued == 0
+        res.release(holder)
+        assert res.count == 0 and res.queued == 0
+        assert res.request().triggered
+
     def test_holder_closed_while_queued_withdraws_its_request(self):
         # A process torn down mid-wait (a run abandoned with a transfer
         # still queued for the link) leaves nothing behind in the queue.
